@@ -16,6 +16,7 @@ from .delta import (
     DeltaPolynomial,
     DeltaProfile,
     delta_by_components,
+    delta_frontier,
     delta_graycode,
     delta_naive,
     delta_polynomial,

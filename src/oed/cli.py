@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_delta = sub.add_parser("delta", help="compute a graph's census profile")
     p_delta.add_argument("--input", required=True, help="edge-list or DIMACS file")
-    p_delta.add_argument("--engine", choices=sorted(ENGINES), default="gray")
+    p_delta.add_argument("--engine", choices=sorted(ENGINES), default="frontier")
     p_delta.add_argument("--format", choices=["json", "csv"], default="json")
     p_delta.set_defaults(func=cmd_delta)
 

@@ -85,7 +85,7 @@ def reduced_count_no_isolated(g: Graph, profile: DeltaProfile) -> CoverCount:
     return (1 << n) - weighted
 
 
-def vc_count_reduction(g: Graph, engine="gray", jobs: int | None = None) -> CoverCount:
+def vc_count_reduction(g: Graph, engine="frontier", jobs: int | None = None) -> CoverCount:
     """Cover count via the census pipeline.
 
     Strips isolated vertices, runs the chosen census engine on the

@@ -6,8 +6,13 @@ induced vertex set V(F) (the endpoints of F) has exactly k vertices and
 empty edge set is excluded everywhere, so a profile's odd and even
 counts always sum to 2^m - 1.
 
-Three interchangeable engines compute the census:
+Four interchangeable engines compute the census:
 
+* ``delta_frontier``  : the default. Counts vertex subsets by a DP along
+                        a vertex order with a small frontier and turns
+                        them into the census by Mobius inversion; the
+                        cost grows with the frontier width, not with 2^m.
+                        Returns the full parity split.
 * ``delta_naive``     : visits every subset independently, recomputing
                         V(F) from scratch each time (the reference
                         enumerator, deliberately unclever).
@@ -19,10 +24,11 @@ Three interchangeable engines compute the census:
                         enumerated instead of 2^m. Returns delta only.
 
 All counts are plain Python integers, hence arbitrary precision end to
-end. Enumeration engines may split the subset space into disjoint
-contiguous rank ranges (for process parallelism capped by the
-OED_THREADS environment variable); partial profiles merge by elementwise
-addition, so results are identical for every degree of parallelism.
+end. The enumeration engines (naive, gray) may split the subset space
+into disjoint contiguous rank ranges (for process parallelism capped by
+the OED_THREADS environment variable); partial profiles merge by
+elementwise addition, so results are identical for every degree of
+parallelism. The frontier DP is serial.
 """
 
 from __future__ import annotations
@@ -322,10 +328,108 @@ def delta_by_components(g: Graph, jobs: int | None = None) -> DeltaProfile:
     return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=delta)
 
 
+def _growth(
+    v: int, adjacency: tuple[frozenset[int], ...], frontier: dict[int, int], left: list[int]
+) -> tuple[int, int, int]:
+    """Sort key for the next vertex of the frontier DP: smallest first.
+
+    Processing v adds it to the frontier if it has an unprocessed
+    neighbour, and closes each frontier neighbour whose last unprocessed
+    neighbour is v. Ties go to the most frontier neighbours, then the
+    lowest id.
+    """
+    linked = [u for u in adjacency[v] if u in frontier]
+    closed = sum(1 for u in linked if left[u] == 1)
+    return ((left[v] > 0) - closed, -len(linked), v)
+
+
+def _binomial_transform(c: list[int]) -> list[int]:
+    """Coefficients of sum_t c_t x^t (1-x)^(h-t), h = len(c) - 1.
+
+    Coefficient k is sum_t (-1)^(k-t) C(h-t, k-t) c_t; built by Horner's
+    rule, r <- r * (1 - x) + c_t x^t, in O(h^2) integer subtractions.
+    """
+    r: list[int] = []
+    for ct in c:
+        r = [x - y for x, y in zip(r + [ct], [0] + r)]
+    return r
+
+
+def delta_frontier(g: Graph, jobs: int | None = None) -> DeltaProfile:
+    """Census from vertex subsets, by a DP over a narrow vertex order.
+
+    For a vertex set T with e(T) inner edges, let A_t sum 2^e(T) and B_t
+    count independent sets over |T| = t, taken over the h non-isolated
+    vertices. Mobius inversion over vertex subsets gives, for k >= 1,
+
+        O_k + E_k = sum_t (-1)^(k-t) C(h-t, k-t) A_t
+        E_k - O_k = sum_t (-1)^(k-t) C(h-t, k-t) B_t
+
+    so the full parity split comes out, identical to delta_graycode's.
+    A_t and B_t come from a DP over the vertices in a greedy order (see
+    ``_growth``) that keeps the frontier, the processed vertices with an
+    unprocessed neighbour, small. A state is which frontier vertices are
+    in T; it holds both polynomials, each packed into one int with
+    coefficient t in bits [t*slot, (t+1)*slot). Every coefficient stays
+    below C(h, t) * 2^m < 2^slot, so slots never carry. The cost is
+    about h * 2^width integer operations, not 2^m. ``jobs`` is validated
+    as for the other engines; the DP is serial.
+    """
+    _check_edge_cap(g.m)
+    resolve_jobs(jobs)
+    adjacency = g.adjacency
+    left = [len(nbrs) for nbrs in adjacency]  # unprocessed neighbours
+    todo = {v for v, nbrs in enumerate(adjacency) if nbrs}
+    h = len(todo)
+    slot = h + g.m + 1
+    frontier: dict[int, int] = {}  # vertex -> its bit in a state mask
+    used = 0  # bits held by frontier vertices
+    states = {0: (1, 1)}
+    while todo:
+        v = min(todo, key=lambda x: _growth(x, adjacency, frontier, left))
+        todo.remove(v)
+        inner = drop = 0
+        for u in adjacency[v]:
+            left[u] -= 1
+            if u in frontier:
+                inner |= 1 << frontier[u]
+                if not left[u]:
+                    drop |= 1 << frontier.pop(u)
+        used &= ~drop
+        vbit = 0
+        if left[v]:
+            vbit = ~used & (used + 1)
+            used |= vbit
+            frontier[v] = vbit.bit_length() - 1
+        nxt: dict[int, tuple[int, int]] = {}
+        for mask, (a, b) in states.items():
+            c = (mask & inner).bit_count()
+            out = mask & ~drop
+            for key, da, db in (
+                (out, a, b),
+                (out | vbit, a << (slot + c), 0 if c else b << slot),
+            ):
+                prev = nxt.get(key)
+                nxt[key] = (da, db) if prev is None else (prev[0] + da, prev[1] + db)
+        states = nxt
+    a, b = states[0]
+    low = (1 << slot) - 1
+    sums = _binomial_transform([a >> (t * slot) & low for t in range(h + 1)])
+    diffs = _binomial_transform([b >> (t * slot) & low for t in range(h + 1)])
+    odd = [0] * (g.n + 1)
+    even = [0] * (g.n + 1)
+    for k in range(1, h + 1):
+        odd[k] = (sums[k] - diffs[k]) >> 1
+        even[k] = (sums[k] + diffs[k]) >> 1
+    delta = tuple(o - e for o, e in zip(odd, even))
+    return DeltaProfile(n=g.n, odd_counts=tuple(odd), even_counts=tuple(even), delta=delta)
+
+
 ENGINES = {
     "naive": delta_naive,
     "gray": delta_graycode,
     "components": delta_by_components,
+    "frontier": delta_frontier,
 }
 
 

@@ -1,10 +1,11 @@
 """Cross-check harness: every identity the package relies on, run at desk scale.
 
-``run_verification`` checks, per graph, that the three census engines
-agree, that the census is complete (counts sum to 2^m - 1) with signed
-sum 1, and that the cover count comes out identical via the census
-reduction, the brute-force scan, the independent-set scan, and the
-direct alternating sum. Graphs come from exhaustive enumeration of all
+``run_verification`` checks, per graph, that the four census engines
+agree (the frontier DP on the full parity split), that the census is
+complete (counts sum to 2^m - 1) with signed sum 1, and that the cover
+count comes out identical via the census reduction with every engine,
+the brute-force scan, the independent-set scan, and the direct
+alternating sum. Graphs come from exhaustive enumeration of all
 labeled graphs up to a small n and from seeded random sampling, so a
 report is fully reproducible from (seed, parameters).
 
@@ -31,6 +32,7 @@ from .delta import (
     IE_EDGE_CAP,
     DeltaProfile,
     delta_by_components,
+    delta_frontier,
     delta_graycode,
     delta_naive,
     inclusion_exclusion_direct,
@@ -128,6 +130,7 @@ def check_graph(g: Graph, corrupt_profile: bool = False) -> list[Failure]:
             (1 << m) - 1,
         )
     expect("delta_graycode", gray.delta, "delta_by_components", comp.delta)
+    expect("delta_frontier", delta_frontier(g), "delta_graycode", gray)
     expect(
         "delta_graycode:census_total",
         sum(gray.odd_counts) + sum(gray.even_counts),
@@ -147,6 +150,8 @@ def check_graph(g: Graph, corrupt_profile: bool = False) -> list[Failure]:
         brute = brute_force_vc_count(g)
         independent = independent_set_count(g)
         expect("reduction", reduction, "brute_force", brute)
+        frontier = vc_count_reduction(g, engine="frontier")
+        expect("reduction[frontier]", frontier, "brute_force", brute)
         expect("brute_force", brute, "independent_set", independent)
         expect("non_cover+brute_force", non_cover_count(g) + brute, "2^n", 1 << n)
         if 1 <= m <= IE_EDGE_CAP:
@@ -200,6 +205,8 @@ def run_verification(
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if trials > 0 and n_max < 2:
         raise ValueError(f"random trials need n_max >= 2, got {n_max}")
+    if trials > 0 and m_max < 0:
+        raise ValueError(f"random trials need m_max >= 0, got {m_max}")
     start = time.perf_counter()
     failures: list[Failure] = []
     checked = 0
@@ -240,7 +247,12 @@ class BenchRecord:
 
 
 def subsets_visited(g: Graph, engine: str) -> int:
-    """Nonempty subsets an engine enumerates: 2^m - 1, or the per-component sum."""
+    """Nonempty subsets an engine enumerates: 2^m - 1, or the per-component sum.
+
+    The frontier engine enumerates no edge subsets; for it this is the
+    census size 2^m - 1, so ``oed bench`` rates it in census subsets per
+    second.
+    """
     if engine == "components":
         total = 0
         for comp in connected_components(g):

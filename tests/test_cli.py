@@ -71,6 +71,16 @@ class TestDelta:
         main(["delta", "--input", cube_file, "--engine", "gray"])
         assert capsys.readouterr().out == naive_out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("text", [to_edge_list(gen_family("cube_q3")), "7 3\n0 1\n1 2\n4 5\n"])
+    def test_default_engine_matches_gray(self, tmp_path, capsys, text, fmt):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert main(["delta", "--input", str(path), "--format", fmt]) == 0
+        default_out = capsys.readouterr().out
+        assert main(["delta", "--input", str(path), "--format", fmt, "--engine", "gray"]) == 0
+        assert capsys.readouterr().out == default_out
+
 
 class TestCount:
     @pytest.mark.parametrize("method,expected", [("reduction", "4"), ("brute", "4"), ("independent", "4")])
@@ -115,6 +125,11 @@ class TestVerify:
     def test_bad_parameters_exit_2(self, capsys):
         assert main(["verify", "--exhaustive-n", "9"]) == 2
         assert "exhaustive_n" in capsys.readouterr().err
+
+    def test_negative_m_max_exit_2(self, capsys):
+        assert main(["verify", "--trials", "1", "--n-max", "2", "--m-max", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "oed: error: random trials need m_max >= 0, got -1\n"
 
 
 class TestGen:

@@ -1,5 +1,7 @@
 """Cover counting: oracles, the census reduction, and their agreement."""
 
+import time
+
 import pytest
 from reference import reference_independent_count, reference_vc_count
 
@@ -19,7 +21,21 @@ from oed import (
     vc_count_reduction,
 )
 
-METHODS = ["naive", "gray", "components"]
+METHODS = ["naive", "gray", "components", "frontier"]
+
+
+def prism_cover_count(s):
+    """Covers of the prism over C_s by a rung-to-rung transfer matrix.
+
+    A rung (i, s + i) meets a cover as both ends, top only or bottom
+    only; consecutive rungs must also cover the two cycle edges between
+    them, which T encodes, so the count is trace(T^s).
+    """
+    t = [[1, 1, 1], [1, 0, 1], [1, 1, 0]]
+    power = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(s):
+        power = [[sum(power[i][k] * t[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return sum(power[i][i] for i in range(3))
 
 
 class TestFrozenCounts:
@@ -123,6 +139,17 @@ class TestReductionPipeline:
             g = disjoint_union(g, gen_family("complete", 3))
         assert g.n == 39
         assert vc_count_reduction(g, engine="components") == 4**13
+
+    @pytest.mark.parametrize("s,expected", [(4, 35), (6, 199), (12, 39203), (20, 45239075)])
+    def test_prism_reach(self, s, expected):
+        # prism 12 and 20 have 36 and 60 edges: far past a 2^m sweep.
+        assert prism_cover_count(s) == expected
+        g = gen_family("prism", s)
+        start = time.perf_counter()
+        count = vc_count_reduction(g)
+        elapsed = time.perf_counter() - start
+        assert count == expected
+        assert elapsed < 1.0, f"prism {s} (m={g.m}) took {elapsed:.2f}s"
 
     def test_profile_constant_independent_of_count_presence(self, k3):
         profile_full = delta_graycode(k3)

@@ -1,5 +1,7 @@
 """Census engines against frozen values and the itertools reference oracle."""
 
+import time
+
 import pytest
 from reference import reference_census, reference_delta, reference_non_cover_count
 
@@ -8,7 +10,9 @@ from oed import (
     DeltaPolynomial,
     DeltaProfile,
     Graph,
+    add_isolated,
     delta_by_components,
+    delta_frontier,
     delta_graycode,
     delta_naive,
     delta_polynomial,
@@ -20,7 +24,7 @@ from oed import (
     w_polynomial,
 )
 
-ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components]
+ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components, delta_frontier]
 
 
 @pytest.mark.parametrize("engine", ENGINE_FNS)
@@ -71,6 +75,45 @@ class TestParityCounts:
         profile = delta_naive(g)
         assert profile.odd_counts == tuple(odd)
         assert profile.even_counts == tuple(even)
+
+
+class TestFrontierEngine:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen_family("cube_q3"),
+            gen_family("complete", 5),
+            random_graph(8, 0.4, seed=3),
+            disjoint_union(gen_family("complete", 3), gen_family("path", 4)),
+            add_isolated(gen_family("cycle", 5), 3),
+            Graph.from_edges(5, [(3, 4), (0, 2)]),
+            Graph.from_edges(4, []),
+            Graph.from_edges(1, []),
+            Graph.from_edges(0, []),
+        ],
+        ids=["cube", "k5", "gnp8", "k3+p4", "c5+3iso", "split-iso", "edgeless", "n1", "n0"],
+    )
+    def test_parity_split_matches_reference(self, g):
+        odd, even = reference_census(g.n, [(u, v) for u, v in g.edges])
+        profile = delta_frontier(g)
+        assert profile.odd_counts == tuple(odd)
+        assert profile.even_counts == tuple(even)
+        assert profile == delta_graycode(g)
+
+    def test_env_threads_validated(self, monkeypatch, cube):
+        monkeypatch.setenv("OED_THREADS", "zero")
+        with pytest.raises(ValueError, match="OED_THREADS"):
+            delta_frontier(cube)
+
+    def test_reach_k2_30(self):
+        # 60 edges: 2^60 - 1 subsets for an enumeration engine.
+        g = Graph.from_edges(32, [(i, j) for i in range(2) for j in range(2, 32)])
+        start = time.perf_counter()
+        profile = delta_frontier(g)
+        elapsed = time.perf_counter() - start
+        assert sum(profile.odd_counts) + sum(profile.even_counts) == 2**60 - 1
+        assert sum(profile.delta) == 1
+        assert elapsed < 1.0, f"K_2,30 took {elapsed:.2f}s"
 
 
 class TestEngineAgreement:
@@ -140,6 +183,8 @@ class TestCaps:
             delta_naive(g)
         with pytest.raises(CapError, match="at most 62"):
             delta_graycode(g)
+        with pytest.raises(CapError, match="at most 62"):
+            delta_frontier(g)
         with pytest.raises(CapError):
             delta_by_components(g)
 

@@ -9,6 +9,7 @@ from oed import (
     add_isolated,
     brute_force_vc_count,
     delta_by_components,
+    delta_frontier,
     delta_graycode,
     delta_naive,
     disjoint_union,
@@ -58,6 +59,10 @@ class TestCensusInvariants:
         assert delta_by_components(g).delta == expected
 
     @given(graphs(n_max=6))
+    def test_frontier_matches_graycode(self, g):
+        assert delta_frontier(g) == delta_graycode(g)
+
+    @given(graphs(n_max=6))
     def test_census_is_complete(self, g):
         profile = delta_graycode(g)
         assert sum(profile.odd_counts) + sum(profile.even_counts) == 2**g.m - 1
@@ -83,8 +88,8 @@ class TestCensusInvariants:
 
 
 class TestCoverInvariants:
-    # vc_count_reduction sweeps all 2^m edge subsets; K7 (m=21) takes
-    # most of a second, so the default per-example deadline cannot hold.
+    # K7 is the densest draw. No deadline: the cross-check against the
+    # 2^n brute-force scan should not depend on the host's speed.
     @given(graphs(n_max=7))
     @example(gen_family("complete", 7))
     @settings(deadline=None)

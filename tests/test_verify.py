@@ -73,6 +73,11 @@ class TestRunVerification:
         with pytest.raises(ValueError, match="n_max"):
             run_verification(trials=3, n_max=1, m_max=5)
 
+    def test_trials_need_nonnegative_m_max(self):
+        with pytest.raises(ValueError, match="m_max"):
+            run_verification(trials=1, n_max=2, m_max=-1)
+        assert run_verification(n_max=2, m_max=-1).passing
+
     def test_report_json_shape(self):
         d = run_verification(exhaustive_n=2, trials=2, n_max=5, m_max=6, seed=9).to_json_dict()
         assert d["passing"] is True

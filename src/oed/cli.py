@@ -22,7 +22,7 @@ from .covers import (
 )
 from .delta import ENGINES, profile_to_json_dict
 from .errors import CapError, EngineDisagreement, ParseError
-from .graph import FAMILY_NAMES, gen_family, load_graph, strip_isolated, to_edge_list
+from .graph import FAMILY_NAMES, gen_family, load_graph, to_edge_list
 from .verify import run_bench, run_verification
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
-    isolated = len(strip_isolated(g).isolated)
+    isolated = sum(1 for nbrs in g.adjacency if not nbrs)
     if args.method == "reduction":
         count = vc_count_reduction(g)
     elif args.method == "brute":
@@ -150,6 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Counts print in full at any length: lift the interpreter's int-to-str
+    # digit limit, where it has one, while the command runs.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        old_digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.func(args)
     except CapError as exc:
@@ -161,6 +167,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"oed: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if set_digits is not None:
+            set_digits(old_digits)
 
 
 def entry() -> None:

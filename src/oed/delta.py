@@ -28,13 +28,15 @@ end. The enumeration engines (naive, gray) may split the subset space
 into disjoint contiguous rank ranges (for process parallelism capped by
 the OED_THREADS environment variable); partial profiles merge by
 elementwise addition, so results are identical for every degree of
-parallelism. The frontier DP is serial.
+parallelism. A process pool starts, and ``concurrent.futures`` and
+``multiprocessing`` are imported, only when a sweep of more than
+2^14 subsets is split across two or more workers; every other call runs
+in-process without loading them. The frontier DP is serial.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CapError
@@ -254,6 +256,9 @@ def _enumerate_census(g: Graph, worker, jobs: int | None) -> tuple[list[int], li
     elif top - 1 < _POOL_THRESHOLD:
         partials = [worker(n, endpoints, lo, hi) for lo, hi in ranges]
     else:
+        # The pool's only user; importing it here keeps multiprocessing off start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [pool.submit(worker, n, endpoints, lo, hi) for lo, hi in ranges]
             partials = [f.result() for f in futures]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oed
-from oed import gen_family, to_edge_list
+from oed import Graph, gen_family, to_edge_list
 from oed.cli import main
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
@@ -104,6 +104,41 @@ class TestCount:
         payload = json.loads(capsys.readouterr().out)
         assert payload["isolated"] == 3
         assert payload["count"] == str(3 * 2**3)
+
+    def test_reduction_builds_stripped_graph_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.txt"
+        path.write_text("7 2\n0 1\n2 3\n")
+        build = Graph.from_edges.__func__
+        built = []
+
+        def counting(cls, n, pairs):
+            built.append(n)
+            return build(cls, n, pairs)
+
+        monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
+        assert main(["count", "--input", str(path), "--method", "reduction"]) == 0
+        # One build for the loaded graph, one for the isolated-free remainder.
+        assert built == [7, 4]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"count": "72", "method": "reduction", "n": 7, "m": 2, "isolated": 3}
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_long_count_prints_in_full(self, tmp_path, capsys):
+        # 3 * 2^14998 has 4,516 digits, past the default int-to-str limit.
+        path = tmp_path / "wide.txt"
+        path.write_text("15000 1\n0 1\n")
+        limit = sys.get_int_max_str_digits()
+        assert main(["count", "--input", str(path)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(capsys.readouterr().out)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(payload["count"]) == 3 << 14998
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert payload["isolated"] == 14998
 
 
 class TestVerify:
@@ -203,6 +238,25 @@ class TestExitCodes:
         monkeypatch.setenv("OED_THREADS", "many")
         assert main(["delta", "--input", k3_file]) == 2
         assert "OED_THREADS" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_default_commands_leave_process_pool_unloaded(self, k3_file):
+        script = (
+            "import sys\n"
+            "from oed.cli import main\n"
+            f"assert main(['delta', '--input', {k3_file!r}]) == 0\n"
+            f"assert main(['count', '--input', {k3_file!r}]) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')]\n"
+            "print('LOADED', sorted(loaded))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OED_THREADS"}
+        env["PYTHONPATH"] = str(Path(oed.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "LOADED []"
 
 
 class TestEntryPoints:

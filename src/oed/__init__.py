@@ -28,6 +28,7 @@ from .errors import CapError, EngineDisagreement, GraphError, ParseError
 from .graph import (
     Edge,
     FAMILY_NAMES,
+    MAX_VERTICES,
     Graph,
     IsolatedSplit,
     PropertyReport,

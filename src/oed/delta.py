@@ -19,9 +19,10 @@ Four interchangeable engines compute the census:
 * ``delta_graycode``  : visits subsets in Gray-code order, updating
                         per-vertex incidence counts incrementally, so
                         each step costs O(1) amortized.
-* ``delta_by_components``: multiplies per-component subgraph-weight
-                        polynomials, so only sum(2^m_i) subsets are ever
-                        enumerated instead of 2^m. Returns delta only.
+* ``delta_by_components``: runs the frontier DP on each connected
+                        component and multiplies the per-component
+                        polynomials W(x) = 1 - D(x); no edge subset is
+                        enumerated. Returns delta only.
 
 All counts are plain Python integers, hence arbitrary precision end to
 end. The enumeration engines (naive, gray) may split the subset space
@@ -31,16 +32,19 @@ elementwise addition, so results are identical for every degree of
 parallelism. A process pool starts, and ``concurrent.futures`` and
 ``multiprocessing`` are imported, only when a sweep of more than
 2^14 subsets is split across two or more workers; every other call runs
-in-process without loading them. The frontier DP is serial.
+in-process without loading them. The frontier DP, and so the component
+engine, is serial.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 
 from .errors import CapError
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph, connected_components
 
 EDGE_CAP = 62
 IE_EDGE_CAP = 20
@@ -97,12 +101,15 @@ class DeltaPolynomial:
 
     def __mul__(self, other: "DeltaPolynomial") -> "DeltaPolynomial":
         a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
+        width = len(a)
+        # One pass per coefficient of the shorter factor, each a C-level
+        # map over the longer one.
+        for j, bj in enumerate(b):
+            if bj:
+                out[j : j + width] = map(add, out[j : j + width], map(mul, a, repeat(bj)))
         return DeltaPolynomial(tuple(out))
 
     def padded(self, length: int) -> tuple[int, ...]:
@@ -314,23 +321,43 @@ def delta_graycode(g: Graph, jobs: int | None = None) -> DeltaProfile:
 def delta_by_components(g: Graph, jobs: int | None = None) -> DeltaProfile:
     """Census via per-component factorization of W(x) = 1 - D(x).
 
-    Each connected component is enumerated separately (the edge cap
-    applies per component, so the whole graph may exceed it) and the
-    component W polynomials are multiplied. Isolated vertices contribute
-    the factor 1. Only delta is recovered; the parity split is lost in
-    the product, so odd/even counts are marked not computed.
+    Each connected component with an edge runs the frontier DP on its
+    own (see ``_subset_sums``). The binomial transform of its
+    independent-set counts B_t is its W polynomial exactly: W_0 = B_0 = 1,
+    and W_k = E_k - O_k for k >= 1. The component polynomials are then
+    multiplied. The edge cap applies per component, so the whole graph
+    may exceed it; ``jobs`` is validated per component, after the cap,
+    and is otherwise unused. Isolated vertices contribute the factor 1.
+    Only delta is recovered; the parity split is lost in the product, so
+    odd/even counts are marked not computed.
     """
     w_total = DeltaPolynomial((1,))
-    for comp in connected_components(g):
-        if len(comp) == 1:
-            continue
-        sub = induced_subgraph(g, comp)
+    for sub in _component_subgraphs(g):
         _check_edge_cap(sub.m)
-        profile = delta_graycode(sub, jobs=jobs)
-        w_total = w_total * w_polynomial(profile)
+        resolve_jobs(jobs)
+        _, independent = _subset_sums(sub)
+        w_total = w_total * DeltaPolynomial(tuple(_binomial_transform(independent)))
     coeffs = w_total.padded(g.n + 1)
     delta = tuple(1 - coeffs[0] if k == 0 else -coeffs[k] for k in range(g.n + 1))
     return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=delta)
+
+
+def _component_subgraphs(g: Graph) -> list[Graph]:
+    """Subgraph of each component with an edge, ordered by smallest member.
+
+    Each is relabelled densely in sorted order, as ``induced_subgraph``
+    does; all of them are built in one pass over the edges.
+    """
+    comps = [sorted(c) for c in connected_components(g) if len(c) > 1]
+    place: dict[int, tuple[int, int]] = {}  # vertex -> (component, new id)
+    for i, comp in enumerate(comps):
+        for j, v in enumerate(comp):
+            place[v] = (i, j)
+    pairs: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in g.edges:
+        i, x = place[u]
+        pairs[i].append((x, place[v][1]))
+    return [Graph.from_edges(len(comp), p) for comp, p in zip(comps, pairs)]
 
 
 def _growth(
@@ -360,28 +387,19 @@ def _binomial_transform(c: list[int]) -> list[int]:
     return r
 
 
-def delta_frontier(g: Graph, jobs: int | None = None) -> DeltaProfile:
-    """Census from vertex subsets, by a DP over a narrow vertex order.
+def _subset_sums(g: Graph) -> tuple[list[int], list[int]]:
+    """A_t and B_t for t = 0..h over the h non-isolated vertices of g.
 
-    For a vertex set T with e(T) inner edges, let A_t sum 2^e(T) and B_t
-    count independent sets over |T| = t, taken over the h non-isolated
-    vertices. Mobius inversion over vertex subsets gives, for k >= 1,
-
-        O_k + E_k = sum_t (-1)^(k-t) C(h-t, k-t) A_t
-        E_k - O_k = sum_t (-1)^(k-t) C(h-t, k-t) B_t
-
-    so the full parity split comes out, identical to delta_graycode's.
-    A_t and B_t come from a DP over the vertices in a greedy order (see
-    ``_growth``) that keeps the frontier, the processed vertices with an
-    unprocessed neighbour, small. A state is which frontier vertices are
-    in T; it holds both polynomials, each packed into one int with
-    coefficient t in bits [t*slot, (t+1)*slot). Every coefficient stays
-    below C(h, t) * 2^m < 2^slot, so slots never carry. The cost is
-    about h * 2^width integer operations, not 2^m. ``jobs`` is validated
-    as for the other engines; the DP is serial.
+    A_t sums 2^e(T), and B_t counts independent sets, over the vertex
+    sets T of size t, where e(T) is the number of edges inside T. They
+    come from a DP over the vertices in a greedy order (see ``_growth``)
+    that keeps the frontier, the processed vertices with an unprocessed
+    neighbour, small. A state is which frontier vertices are in T; it
+    holds both polynomials, each packed into one int with coefficient t
+    in bits [t*slot, (t+1)*slot). Every coefficient stays below
+    C(h, t) * 2^m < 2^slot, so slots never carry. The cost is about
+    h * 2^width integer operations, not 2^m.
     """
-    _check_edge_cap(g.m)
-    resolve_jobs(jobs)
     adjacency = g.adjacency
     left = [len(nbrs) for nbrs in adjacency]  # unprocessed neighbours
     todo = {v for v, nbrs in enumerate(adjacency) if nbrs}
@@ -419,11 +437,30 @@ def delta_frontier(g: Graph, jobs: int | None = None) -> DeltaProfile:
         states = nxt
     a, b = states[0]
     low = (1 << slot) - 1
-    sums = _binomial_transform([a >> (t * slot) & low for t in range(h + 1)])
-    diffs = _binomial_transform([b >> (t * slot) & low for t in range(h + 1)])
+    return (
+        [a >> (t * slot) & low for t in range(h + 1)],
+        [b >> (t * slot) & low for t in range(h + 1)],
+    )
+
+
+def delta_frontier(g: Graph, jobs: int | None = None) -> DeltaProfile:
+    """Census from vertex subsets, by a DP over a narrow vertex order.
+
+    With A_t and B_t from ``_subset_sums`` over the h non-isolated
+    vertices, Mobius inversion over vertex subsets gives, for k >= 1,
+
+        O_k + E_k = sum_t (-1)^(k-t) C(h-t, k-t) A_t
+        E_k - O_k = sum_t (-1)^(k-t) C(h-t, k-t) B_t
+
+    so the full parity split comes out, identical to delta_graycode's.
+    ``jobs`` is validated as for the other engines; the DP is serial.
+    """
+    _check_edge_cap(g.m)
+    resolve_jobs(jobs)
+    sums, diffs = map(_binomial_transform, _subset_sums(g))
     odd = [0] * (g.n + 1)
     even = [0] * (g.n + 1)
-    for k in range(1, h + 1):
+    for k in range(1, len(sums)):
         odd[k] = (sums[k] - diffs[k]) >> 1
         even[k] = (sums[k] + diffs[k]) >> 1
     delta = tuple(o - e for o, e in zip(odd, even))

@@ -13,7 +13,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import GraphError, ParseError
+from .errors import CapError, GraphError, ParseError
+
+# Bound on the vertex count of a parsed or generated graph, checked before
+# any per-vertex allocation: a ten-byte header must not cost gigabytes.
+MAX_VERTICES = 1_000_000
 
 
 class Edge(NamedTuple):
@@ -117,7 +121,8 @@ def parse_edge_list(text: str | bytes) -> Graph:
 
     Raises ParseError with the offending line number for malformed
     headers, out-of-range ids, self-loops, duplicate edges, and
-    edge-count mismatches.
+    edge-count mismatches, and CapError for a header declaring more than
+    MAX_VERTICES vertices.
     """
     if isinstance(text, bytes):
         try:
@@ -138,6 +143,11 @@ def parse_edge_list(text: str | bytes) -> Graph:
     return _parse_native(significant)
 
 
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise CapError(f"graph has {n} vertices, at most {MAX_VERTICES} are supported")
+
+
 def _parse_int(token: str, lineno: int, what: str) -> int:
     try:
         return int(token)
@@ -154,6 +164,7 @@ def _parse_native(lines: list[tuple[int, str]]) -> Graph:
     m = _parse_int(parts[1], lineno, "edge count")
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: header counts must be nonnegative")
+    _check_vertex_count(n)
     body = lines[1:]
     if len(body) < m:
         raise ParseError(f"edge count mismatch: header declares {m} edges, found {len(body)}")
@@ -180,6 +191,7 @@ def _parse_dimacs(lines: list[tuple[int, str]]) -> Graph:
     m = _parse_int(parts[3], lineno, "edge count")
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: header counts must be nonnegative")
+    _check_vertex_count(n)
     body = rows[1:]
     if len(body) < m:
         raise ParseError(f"edge count mismatch: header declares {m} edges, found {len(body)}")
@@ -290,6 +302,8 @@ def gen_family(name: str, size: int | None = None) -> Graph:
     (on ``size`` vertices), cube_q3 (the 3-dimensional hypercube; ignores
     ``size``), prism (over a cycle of length ``size``; requires ``size``
     even and >= 4 so the result is 3-regular, planar and bipartite).
+    Raises CapError before building a graph of more than MAX_VERTICES
+    vertices.
     """
     if name == "cube_q3":
         return _cube_q3()
@@ -299,6 +313,7 @@ def gen_family(name: str, size: int | None = None) -> Graph:
         raise ValueError(f"unknown family {name!r}; known families: {known}")
     if size is None:
         raise ValueError(f"family {name!r} requires a size")
+    _check_vertex_count(size * _VERTICES_PER_SIZE.get(name, 1))
     return builder(size)
 
 
@@ -360,6 +375,9 @@ _FAMILIES = {
     "star": _gen_star,
     "prism": _gen_prism,
 }
+
+# Families with 2 * size vertices; the others have size vertices.
+_VERTICES_PER_SIZE = {"complete_bipartite": 2, "prism": 2}
 
 FAMILY_NAMES: tuple[str, ...] = tuple(sorted(list(_FAMILIES) + ["cube_q3"]))
 

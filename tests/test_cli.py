@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oed
-from oed import Graph, gen_family, to_edge_list
+from oed import MAX_VERTICES, Graph, gen_family, to_edge_list
 from oed.cli import main
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
@@ -238,6 +238,71 @@ class TestExitCodes:
         monkeypatch.setenv("OED_THREADS", "many")
         assert main(["delta", "--input", k3_file]) == 2
         assert "OED_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", [None, "many"])
+    def test_component_cap_exit_3(self, tmp_path, capsys, monkeypatch, env):
+        # K12 is one component of 66 edges; its cap is checked before OED_THREADS.
+        if env is not None:
+            monkeypatch.setenv("OED_THREADS", env)
+        path = tmp_path / "dense.txt"
+        path.write_text(to_edge_list(gen_family("complete", 12)))
+        assert main(["delta", "--input", str(path), "--engine", "components"]) == 3
+        assert capsys.readouterr().err == (
+            "oed: error: graph has 66 edges, enumeration engines support at most 62\n"
+        )
+
+    def test_component_bad_thread_env_exit_2(self, k3_file, capsys, monkeypatch):
+        monkeypatch.setenv("OED_THREADS", "many")
+        assert main(["delta", "--input", k3_file, "--engine", "components"]) == 2
+        assert "OED_THREADS" in capsys.readouterr().err
+
+    def test_component_edgeless_ignores_thread_env(self, tmp_path, capsys, monkeypatch):
+        # No component has an edge, so nothing reads OED_THREADS.
+        monkeypatch.setenv("OED_THREADS", "many")
+        path = tmp_path / "edgeless.txt"
+        path.write_text("4 0\n")
+        assert main(["delta", "--input", str(path), "--engine", "components"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == ["0"] * 5
+
+    @pytest.mark.parametrize(
+        "args,text,code",
+        [
+            (["count", "--input"], "99999999999999999999 0\n", 3),
+            (["delta", "--input"], f"p edge {MAX_VERTICES + 1} 0\n", 3),
+            (["gen", "path", "99999999999999999999"], None, 3),
+            # 2 * size vertices: just over the bound.
+            (["gen", "prism", str(MAX_VERTICES // 2 + 2)], None, 3),
+            # sparse_wide's probe: 15,000 vertices stay well inside the bound.
+            (["count", "--input"], "15000 1\n0 1\n", 0),
+        ],
+        ids=["native-header", "dimacs-header", "gen-path", "gen-prism", "n15000"],
+    )
+    def test_vertex_count_bound(self, tmp_path, args, text, code):
+        if text is not None:
+            path = tmp_path / "g.txt"
+            path.write_text(text)
+            args = [*args, str(path)]
+        # The child's address space is capped, so a missing bound fails
+        # with MemoryError instead of exhausting the host.
+        script = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from oed.cli import main\n"
+            "start = time.perf_counter()\n"
+            f"code = main({args!r})\n"
+            "print(time.perf_counter() - start)\n"
+            "sys.exit(code)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OED_THREADS"}
+        env["PYTHONPATH"] = str(Path(oed.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == code, proc.stderr
+        assert float(proc.stdout.splitlines()[-1]) < 1.0
+        if code == 3:
+            assert proc.stderr.endswith(f"vertices, at most {MAX_VERTICES} are supported\n")
+            assert proc.stderr.count("\n") == 1
 
 
 class TestStartup:

@@ -151,6 +151,17 @@ class TestReductionPipeline:
         assert count == expected
         assert elapsed < 1.0, f"prism {s} (m={g.m}) took {elapsed:.2f}s"
 
+    def test_component_reach_three_prisms(self):
+        # 90 edges in all, past the whole-graph cap; 30 per component.
+        piece = gen_family("prism", 10)
+        g = disjoint_union(disjoint_union(piece, piece), piece)
+        assert g.m == 90
+        start = time.perf_counter()
+        count = vc_count_reduction(g, engine="components")
+        elapsed = time.perf_counter() - start
+        assert count == prism_cover_count(10) ** 3
+        assert elapsed < 1.0, f"3 x prism 10 took {elapsed:.2f}s"
+
     def test_profile_constant_independent_of_count_presence(self, k3):
         profile_full = delta_graycode(k3)
         profile_delta_only = DeltaProfile(

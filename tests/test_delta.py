@@ -1,5 +1,6 @@
 """Census engines against frozen values and the itertools reference oracle."""
 
+import random
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from oed import (
     DeltaProfile,
     Graph,
     add_isolated,
+    connected_components,
     delta_by_components,
     delta_frontier,
     delta_graycode,
@@ -131,6 +133,26 @@ class TestEngineAgreement:
     def test_disconnected(self, k3):
         g = disjoint_union(k3, gen_family("path", 4))
         assert delta_by_components(g).delta == delta_naive(g).delta
+
+
+class TestComponentEngine:
+    @pytest.mark.parametrize("seed", [5, 6, 11])
+    def test_union_of_small_graphs_matches_graycode(self, seed):
+        # 32 random pieces on 1-4 vertices, many edgeless, under a shuffled
+        # labelling so components interleave; gray sweeps the whole union.
+        rng = random.Random(seed)
+        pairs, n = [], 0
+        for _ in range(32):
+            piece = random_graph(rng.randint(1, 4), 0.2, seed=rng.getrandbits(32))
+            pairs += [(e.u + n, e.v + n) for e in piece.edges]
+            n += piece.n
+        labels = list(range(n))
+        rng.shuffle(labels)
+        g = Graph.from_edges(n, [(labels[u], labels[v]) for u, v in pairs])
+        comps = connected_components(g)
+        assert g.m <= 20 and len(comps) > 32
+        assert any(len(c) == 1 for c in comps) and any(len(c) >= 3 for c in comps)
+        assert delta_by_components(g).delta == delta_graycode(g).delta
 
 
 class TestRankPartitioning:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from reference import reference_delta
 
 from oed import (
+    DeltaPolynomial,
     Graph,
     add_isolated,
     brute_force_vc_count,
@@ -85,6 +86,29 @@ class TestCensusInvariants:
         profile = delta_graycode(g)
         assert profile.delta[0] == 0
         assert g.n == 0 or profile.delta[1] == 0
+
+
+def schoolbook(a, b):
+    """Coefficient k of a(x) * b(x): sum of a_i * b_(k-i), term by term."""
+    return tuple(
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    )
+
+
+coefficients = st.lists(st.integers(min_value=-(2**80), max_value=2**80), max_size=12)
+
+
+class TestPolynomialProduct:
+    @given(coefficients, coefficients)
+    @example([], [])
+    @example([], [4, -1])
+    @example([3], [-2, 0, 7])
+    @example([0, 0, 5], [0])
+    @example([-1, 0, 2, 0], [1, 0, -3])
+    def test_product_is_schoolbook_convolution(self, a, b):
+        product = DeltaPolynomial(tuple(a)) * DeltaPolynomial(tuple(b))
+        assert product.coeffs == schoolbook(a, b)
 
 
 class TestCoverInvariants:

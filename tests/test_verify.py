@@ -11,7 +11,7 @@ from oed import (
     run_verification,
     subsets_visited,
 )
-from oed.graph import disjoint_union
+from oed.graph import Graph, disjoint_union
 
 
 class TestCheckGraph:
@@ -96,6 +96,9 @@ class TestSubsetsVisited:
         g = disjoint_union(k3, k3)
         assert subsets_visited(g, "components") == 7 + 7
         assert subsets_visited(g, "gray") == 2**6 - 1
+        # Interleaved labels and an isolated vertex: 2^2 - 1 + 2^1 - 1 + 0.
+        g = Graph.from_edges(6, [(0, 3), (3, 5), (1, 4)])
+        assert subsets_visited(g, "components") == 3 + 1
 
 
 class TestRunBench:

@@ -4,8 +4,8 @@ Commands: ``delta`` (census of one graph), ``count`` (vertex covers by a
 chosen method), ``verify`` (identity cross-checks), ``gen`` (instance
 families), ``bench`` (engine timing). Results go to stdout as JSON (CSV
 for profiles on request); diagnostics go to stderr. Exit codes: 0
-success, 2 input error, 3 resource cap exceeded, 4 internal cross-check
-failure.
+success, 2 input error, 3 resource cap exceeded or memory exhausted, 4
+internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -160,6 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CapError as exc:
         print(f"oed: error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("oed: error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except EngineDisagreement as exc:
         print(f"oed: error: {exc}", file=sys.stderr)

@@ -85,7 +85,7 @@ def reduced_count_no_isolated(g: Graph, profile: DeltaProfile) -> CoverCount:
     return (1 << n) - weighted
 
 
-def vc_count_reduction(g: Graph, engine="frontier", jobs: int | None = None) -> CoverCount:
+def vc_count_reduction(g: Graph, engine="frontier") -> CoverCount:
     """Cover count via the census pipeline.
 
     Strips isolated vertices, runs the chosen census engine on the
@@ -97,6 +97,5 @@ def vc_count_reduction(g: Graph, engine="frontier", jobs: int | None = None) -> 
     engine_fn = ENGINES[engine] if isinstance(engine, str) else engine
     split = strip_isolated(g)
     h = split.stripped
-    profile = engine_fn(h) if jobs is None else engine_fn(h, jobs=jobs)
-    core = reduced_count_no_isolated(h, profile)
+    core = reduced_count_no_isolated(h, engine_fn(h))
     return core << len(split.isolated)

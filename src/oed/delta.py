@@ -25,20 +25,11 @@ Four interchangeable engines compute the census:
                         enumerated. Returns delta only.
 
 All counts are plain Python integers, hence arbitrary precision end to
-end. The enumeration engines (naive, gray) may split the subset space
-into disjoint contiguous rank ranges (for process parallelism capped by
-the OED_THREADS environment variable); partial profiles merge by
-elementwise addition, so results are identical for every degree of
-parallelism. A process pool starts, and ``concurrent.futures`` and
-``multiprocessing`` are imported, only when a sweep of more than
-2^14 subsets is split across two or more workers; every other call runs
-in-process without loading them. The frontier DP, and so the component
-engine, is serial.
+end. Every engine runs in-process and serially.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
@@ -48,9 +39,6 @@ from .graph import Graph, connected_components
 
 EDGE_CAP = 62
 IE_EDGE_CAP = 20
-
-# Below this subset count, process startup dwarfs the work; stay serial.
-_POOL_THRESHOLD = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -136,15 +124,15 @@ def w_polynomial(profile: DeltaProfile) -> DeltaPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# range workers (module level so process pools can pickle them)
+# enumeration sweeps
 
 
-def _naive_range(n: int, endpoints: tuple[tuple[int, int], ...], lo: int, hi: int):
-    """Census of subset masks in [lo, hi), each evaluated from scratch."""
-    odd = [0] * (n + 1)
-    even = [0] * (n + 1)
-    emask = {1 << j: (1 << u) | (1 << v) for j, (u, v) in enumerate(endpoints)}
-    for mask in range(lo, hi):
+def _naive_census(g: Graph) -> tuple[list[int], list[int]]:
+    """Census of every nonempty subset mask, each evaluated from scratch."""
+    odd = [0] * (g.n + 1)
+    even = [0] * (g.n + 1)
+    emask = {1 << j: (1 << u) | (1 << v) for j, (u, v) in enumerate(g.edges)}
+    for mask in range(1, 1 << g.m):
         s = mask
         vm = 0
         while s:
@@ -158,35 +146,22 @@ def _naive_range(n: int, endpoints: tuple[tuple[int, int], ...], lo: int, hi: in
     return odd, even
 
 
-def _gray_range(n: int, endpoints: tuple[tuple[int, int], ...], lo: int, hi: int):
-    """Census of subset ranks in [lo, hi) visited in Gray-code order.
+def _gray_census(g: Graph) -> tuple[list[int], list[int]]:
+    """Census of every nonempty subset, visited in Gray-code order.
 
     Rank i denotes the subset gray(i) = i ^ (i >> 1). Between rank i-1
     and rank i exactly one edge flips (the lowest set bit of i), and the
     subset's edge parity equals the parity of i itself. The state (edge
-    mask, per-vertex incidence counts, current |V(F)|) is derived from
-    scratch for the range's first subset, then maintained incrementally.
+    mask, per-vertex incidence counts, current |V(F)|) starts at the
+    empty subset of rank 0 and is maintained incrementally.
     """
-    odd = [0] * (n + 1)
-    even = [0] * (n + 1)
-    inc = [0] * n
-    cur = lo ^ (lo >> 1)
+    odd = [0] * (g.n + 1)
+    even = [0] * (g.n + 1)
+    inc = [0] * g.n
+    cur = 0
     k = 0
-    s = cur
-    while s:
-        b = s & -s
-        s ^= b
-        u, v = endpoints[b.bit_length() - 1]
-        if not inc[u]:
-            k += 1
-        inc[u] += 1
-        if not inc[v]:
-            k += 1
-        inc[v] += 1
-    if lo:
-        (odd if lo & 1 else even)[k] += 1
-    elow = {1 << j: uv for j, uv in enumerate(endpoints)}
-    for i in range(lo + 1, hi):
+    elow = {1 << j: (u, v) for j, (u, v) in enumerate(g.edges)}
+    for i in range(1, 1 << g.m):
         b = i & -i
         u, v = elow[b]
         cur ^= b
@@ -215,73 +190,9 @@ def _gray_range(n: int, endpoints: tuple[tuple[int, int], ...], lo: int, hi: int
     return odd, even
 
 
-# ---------------------------------------------------------------------------
-# partitioning
-
-
-def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count: explicit argument, else OED_THREADS, else 1."""
-    if jobs is None:
-        raw = os.environ.get("OED_THREADS")
-        if raw is None:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(f"OED_THREADS must be a positive integer, got {raw!r}") from None
-        if jobs < 1:
-            raise ValueError(f"OED_THREADS must be a positive integer, got {raw!r}")
-        return jobs
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs}")
-    return jobs
-
-
-def _split_ranges(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Split [lo, hi) into at most ``parts`` contiguous nonempty ranges."""
-    total = hi - lo
-    parts = max(1, min(parts, total))
-    base, rem = divmod(total, parts)
-    ranges = []
-    start = lo
-    for i in range(parts):
-        stop = start + base + (1 if i < rem else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
-def _enumerate_census(g: Graph, worker, jobs: int | None) -> tuple[list[int], list[int]]:
-    """Run a range worker over all nonempty subset ranks, merging partials."""
-    n, m = g.n, g.m
-    jobs = resolve_jobs(jobs)
-    endpoints = tuple((e.u, e.v) for e in g.edges)
-    top = 1 << m
-    ranges = _split_ranges(1, top, jobs)
-    if len(ranges) == 1:
-        partials = [worker(n, endpoints, *ranges[0])]
-    elif top - 1 < _POOL_THRESHOLD:
-        partials = [worker(n, endpoints, lo, hi) for lo, hi in ranges]
-    else:
-        # The pool's only user; importing it here keeps multiprocessing off start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [pool.submit(worker, n, endpoints, lo, hi) for lo, hi in ranges]
-            partials = [f.result() for f in futures]
-    odd = [0] * (n + 1)
-    even = [0] * (n + 1)
-    for podd, peven in partials:
-        for k in range(n + 1):
-            odd[k] += podd[k]
-            even[k] += peven[k]
-    return odd, even
-
-
-def _zero_profile(n: int, with_counts: bool) -> DeltaProfile:
-    zeros = (0,) * (n + 1)
-    counts = zeros if with_counts else None
-    return DeltaProfile(n=n, odd_counts=counts, even_counts=counts, delta=zeros)
+def _parity_profile(n: int, odd: list[int], even: list[int]) -> DeltaProfile:
+    delta = tuple(o - e for o, e in zip(odd, even))
+    return DeltaProfile(n=n, odd_counts=tuple(odd), even_counts=tuple(even), delta=delta)
 
 
 def _check_edge_cap(m: int) -> None:
@@ -293,7 +204,7 @@ def _check_edge_cap(m: int) -> None:
 # engines
 
 
-def delta_naive(g: Graph, jobs: int | None = None) -> DeltaProfile:
+def delta_naive(g: Graph) -> DeltaProfile:
     """Census by plain enumeration of all 2^m - 1 nonempty edge subsets.
 
     Every subset is evaluated independently of enumeration order; this is
@@ -301,24 +212,16 @@ def delta_naive(g: Graph, jobs: int | None = None) -> DeltaProfile:
     graph yields the all-zero profile.
     """
     _check_edge_cap(g.m)
-    if g.m == 0:
-        return _zero_profile(g.n, with_counts=True)
-    odd, even = _enumerate_census(g, _naive_range, jobs)
-    delta = tuple(o - e for o, e in zip(odd, even))
-    return DeltaProfile(n=g.n, odd_counts=tuple(odd), even_counts=tuple(even), delta=delta)
+    return _parity_profile(g.n, *_naive_census(g))
 
 
-def delta_graycode(g: Graph, jobs: int | None = None) -> DeltaProfile:
+def delta_graycode(g: Graph) -> DeltaProfile:
     """Census by Gray-code enumeration; output is identical to delta_naive."""
     _check_edge_cap(g.m)
-    if g.m == 0:
-        return _zero_profile(g.n, with_counts=True)
-    odd, even = _enumerate_census(g, _gray_range, jobs)
-    delta = tuple(o - e for o, e in zip(odd, even))
-    return DeltaProfile(n=g.n, odd_counts=tuple(odd), even_counts=tuple(even), delta=delta)
+    return _parity_profile(g.n, *_gray_census(g))
 
 
-def delta_by_components(g: Graph, jobs: int | None = None) -> DeltaProfile:
+def delta_by_components(g: Graph) -> DeltaProfile:
     """Census via per-component factorization of W(x) = 1 - D(x).
 
     Each connected component with an edge runs the frontier DP on its
@@ -326,15 +229,13 @@ def delta_by_components(g: Graph, jobs: int | None = None) -> DeltaProfile:
     independent-set counts B_t is its W polynomial exactly: W_0 = B_0 = 1,
     and W_k = E_k - O_k for k >= 1. The component polynomials are then
     multiplied. The edge cap applies per component, so the whole graph
-    may exceed it; ``jobs`` is validated per component, after the cap,
-    and is otherwise unused. Isolated vertices contribute the factor 1.
+    may exceed it. Isolated vertices contribute the factor 1.
     Only delta is recovered; the parity split is lost in the product, so
     odd/even counts are marked not computed.
     """
     w_total = DeltaPolynomial((1,))
     for sub in _component_subgraphs(g):
         _check_edge_cap(sub.m)
-        resolve_jobs(jobs)
         _, independent = _subset_sums(sub)
         w_total = w_total * DeltaPolynomial(tuple(_binomial_transform(independent)))
     coeffs = w_total.padded(g.n + 1)
@@ -443,7 +344,7 @@ def _subset_sums(g: Graph) -> tuple[list[int], list[int]]:
     )
 
 
-def delta_frontier(g: Graph, jobs: int | None = None) -> DeltaProfile:
+def delta_frontier(g: Graph) -> DeltaProfile:
     """Census from vertex subsets, by a DP over a narrow vertex order.
 
     With A_t and B_t from ``_subset_sums`` over the h non-isolated
@@ -453,18 +354,15 @@ def delta_frontier(g: Graph, jobs: int | None = None) -> DeltaProfile:
         E_k - O_k = sum_t (-1)^(k-t) C(h-t, k-t) B_t
 
     so the full parity split comes out, identical to delta_graycode's.
-    ``jobs`` is validated as for the other engines; the DP is serial.
     """
     _check_edge_cap(g.m)
-    resolve_jobs(jobs)
     sums, diffs = map(_binomial_transform, _subset_sums(g))
     odd = [0] * (g.n + 1)
     even = [0] * (g.n + 1)
     for k in range(1, len(sums)):
         odd[k] = (sums[k] - diffs[k]) >> 1
         even[k] = (sums[k] + diffs[k]) >> 1
-    delta = tuple(o - e for o, e in zip(odd, even))
-    return DeltaProfile(n=g.n, odd_counts=tuple(odd), even_counts=tuple(even), delta=delta)
+    return _parity_profile(g.n, odd, even)
 
 
 ENGINES = {

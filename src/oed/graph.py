@@ -19,6 +19,17 @@ from .errors import CapError, GraphError, ParseError
 # any per-vertex allocation: a ten-byte header must not cost gigabytes.
 MAX_VERTICES = 1_000_000
 
+# Bound on the edge count of a generated graph, checked before building it.
+MAX_GENERATED_EDGES = 1_000_000
+
+# Longest integer token the parser converts. Every count and id the caps
+# admit has at most 12 digits; the rest leaves room for signs, leading
+# zeros and underscores.
+MAX_TOKEN_CHARS = 32
+
+# Input quoted in an error message is cut after this many characters.
+_QUOTE_CHARS = 40
+
 
 class Edge(NamedTuple):
     """Undirected edge with endpoints normalized so that u < v."""
@@ -121,8 +132,9 @@ def parse_edge_list(text: str | bytes) -> Graph:
 
     Raises ParseError with the offending line number for malformed
     headers, out-of-range ids, self-loops, duplicate edges, and
-    edge-count mismatches, and CapError for a header declaring more than
-    MAX_VERTICES vertices.
+    edge-count mismatches. Raises CapError for a header declaring more
+    than MAX_VERTICES vertices, or a number token longer than
+    MAX_TOKEN_CHARS characters.
     """
     if isinstance(text, bytes):
         try:
@@ -139,8 +151,17 @@ def parse_edge_list(text: str | bytes) -> Graph:
         raise ParseError("no header line found (input is empty or all comments)")
     first = significant[0][1]
     if first[0] in ("p", "c") and (len(first) == 1 or first[1].isspace()):
-        return _parse_dimacs(significant)
-    return _parse_native(significant)
+        return _parse(_DIMACS, significant)
+    return _parse(_NATIVE, significant)
+
+
+# The two input formats, one row each: the tokens before "n m" on the
+# header line, the token before "u v" on an edge line ("" for none), the id
+# of the first vertex, whether a line whose first token is "c" is a
+# comment, the header and edge shapes named in errors, and the valid ids
+# (formatted with n).
+_NATIVE = ((), "", 0, False, "n m", "u v", "[0, {})")
+_DIMACS = (("p", "edge"), "e", 1, True, "p edge n m", "e u v", "[1, {}]")
 
 
 def _check_vertex_count(n: int) -> None:
@@ -148,20 +169,39 @@ def _check_vertex_count(n: int) -> None:
         raise CapError(f"graph has {n} vertices, at most {MAX_VERTICES} are supported")
 
 
+def _quote(text: str) -> str:
+    """repr of input text for an error message, cut short when long."""
+    return repr(text) if len(text) <= _QUOTE_CHARS else f"{text[:_QUOTE_CHARS]!r}..."
+
+
 def _parse_int(token: str, lineno: int, what: str) -> int:
+    # int() is quadratic in the length of its input, so refuse long tokens first.
+    if len(token) > MAX_TOKEN_CHARS:
+        raise CapError(
+            f"line {lineno}: {what} {_quote(token)} has {len(token)} characters,"
+            f" at most {MAX_TOKEN_CHARS} are supported"
+        )
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"line {lineno}: {what} {token!r} is not an integer") from None
+        raise ParseError(f"line {lineno}: {what} {_quote(token)} is not an integer") from None
 
 
-def _parse_native(lines: list[tuple[int, str]]) -> Graph:
+def _parse(fmt: tuple, lines: list[tuple[int, str]]) -> Graph:
+    header_tags, tag, base, c_comments, header_shape, edge_shape, id_range = fmt
+    if c_comments:
+        lines = [(lineno, line) for lineno, line in lines if line.split()[0] != "c"]
+        if not lines:
+            raise ParseError("no 'p edge' header line found in DIMACS input")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2:
-        raise ParseError(f"line {lineno}: malformed header {header!r}, expected 'n m'")
-    n = _parse_int(parts[0], lineno, "vertex count")
-    m = _parse_int(parts[1], lineno, "edge count")
+    skip = len(header_tags)
+    if len(parts) != skip + 2 or parts[:skip] != list(header_tags):
+        raise ParseError(
+            f"line {lineno}: malformed header {_quote(header)}, expected '{header_shape}'"
+        )
+    n = _parse_int(parts[skip], lineno, "vertex count")
+    m = _parse_int(parts[skip + 1], lineno, "edge count")
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: header counts must be nonnegative")
     _check_vertex_count(n)
@@ -169,63 +209,32 @@ def _parse_native(lines: list[tuple[int, str]]) -> Graph:
     if len(body) < m:
         raise ParseError(f"edge count mismatch: header declares {m} edges, found {len(body)}")
     if len(body) > m:
-        extra_lineno = body[m][0]
-        raise ParseError(
-            f"line {extra_lineno}: unexpected extra line, header declares {m} edges"
-        )
-    pairs = [_parse_edge_line(lineno, line, n) for lineno, line in body]
-    return _build_parsed(n, pairs)
-
-
-def _parse_dimacs(lines: list[tuple[int, str]]) -> Graph:
-    rows = [(lineno, line) for lineno, line in lines if line.split()[0] != "c"]
-    if not rows:
-        raise ParseError("no 'p edge' header line found in DIMACS input")
-    lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "p" or parts[1] != "edge":
-        raise ParseError(
-            f"line {lineno}: malformed header {header!r}, expected 'p edge n m'"
-        )
-    n = _parse_int(parts[2], lineno, "vertex count")
-    m = _parse_int(parts[3], lineno, "edge count")
-    if n < 0 or m < 0:
-        raise ParseError(f"line {lineno}: header counts must be nonnegative")
-    _check_vertex_count(n)
-    body = rows[1:]
-    if len(body) < m:
-        raise ParseError(f"edge count mismatch: header declares {m} edges, found {len(body)}")
-    if len(body) > m:
-        extra_lineno = body[m][0]
-        raise ParseError(
-            f"line {extra_lineno}: unexpected extra line, header declares {m} edges"
-        )
+        raise ParseError(f"line {body[m][0]}: unexpected extra line, header declares {m} edges")
+    skip = 1 if tag else 0
+    width = skip + 2
     pairs = []
-    for edge_lineno, line in body:
+    for lineno, line in body:
         parts = line.split()
-        if len(parts) != 3 or parts[0] != "e":
-            raise ParseError(f"line {edge_lineno}: malformed edge line {line!r}, expected 'e u v'")
-        u = _parse_int(parts[1], edge_lineno, "vertex id")
-        v = _parse_int(parts[2], edge_lineno, "vertex id")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"line {edge_lineno}: vertex id out of range [1, {n}]")
+        if len(parts) != width or (tag and parts[0] != tag):
+            raise ParseError(
+                f"line {lineno}: malformed edge line {_quote(line)}, expected '{edge_shape}'"
+            )
+        try:
+            # A line this short holds no token too long for int(); any
+            # other line, or a bad token, goes through _parse_int's checks.
+            if len(line) > MAX_TOKEN_CHARS:
+                raise ValueError
+            u = int(parts[skip]) - base
+            v = int(parts[skip + 1]) - base
+        except ValueError:
+            u = _parse_int(parts[skip], lineno, "vertex id") - base
+            v = _parse_int(parts[skip + 1], lineno, "vertex id") - base
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"line {lineno}: vertex id out of range {id_range.format(n)}")
         if u == v:
-            raise ParseError(f"line {edge_lineno}: self-loop at vertex {u}")
-        pairs.append((edge_lineno, u - 1, v - 1))
+            raise ParseError(f"line {lineno}: self-loop at vertex {u + base}")
+        pairs.append((lineno, u, v))
     return _build_parsed(n, pairs)
-
-
-def _parse_edge_line(lineno: int, line: str, n: int) -> tuple[int, int, int]:
-    parts = line.split()
-    if len(parts) != 2:
-        raise ParseError(f"line {lineno}: malformed edge line {line!r}, expected 'u v'")
-    u = _parse_int(parts[0], lineno, "vertex id")
-    v = _parse_int(parts[1], lineno, "vertex id")
-    if not (0 <= u < n and 0 <= v < n):
-        raise ParseError(f"line {lineno}: vertex id out of range [0, {n})")
-    if u == v:
-        raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-    return (lineno, u, v)
 
 
 def _build_parsed(n: int, pairs: list[tuple[int, int, int]]) -> Graph:
@@ -303,7 +312,7 @@ def gen_family(name: str, size: int | None = None) -> Graph:
     ``size``), prism (over a cycle of length ``size``; requires ``size``
     even and >= 4 so the result is 3-regular, planar and bipartite).
     Raises CapError before building a graph of more than MAX_VERTICES
-    vertices.
+    vertices or MAX_GENERATED_EDGES edges.
     """
     if name == "cube_q3":
         return _cube_q3()
@@ -313,7 +322,11 @@ def gen_family(name: str, size: int | None = None) -> Graph:
         raise ValueError(f"unknown family {name!r}; known families: {known}")
     if size is None:
         raise ValueError(f"family {name!r} requires a size")
-    _check_vertex_count(size * _VERTICES_PER_SIZE.get(name, 1))
+    # A size below a family's minimum is refused by its builder.
+    n, m = _SHAPES[name](max(size, 0))
+    _check_vertex_count(n)
+    if m > MAX_GENERATED_EDGES:
+        raise CapError(f"graph has {m} edges, at most {MAX_GENERATED_EDGES} are supported")
     return builder(size)
 
 
@@ -376,8 +389,15 @@ _FAMILIES = {
     "prism": _gen_prism,
 }
 
-# Families with 2 * size vertices; the others have size vertices.
-_VERTICES_PER_SIZE = {"complete_bipartite": 2, "prism": 2}
+# Vertex and edge counts of each sized family.
+_SHAPES = {
+    "path": lambda s: (s, s - 1),
+    "cycle": lambda s: (s, s),
+    "complete": lambda s: (s, s * (s - 1) // 2),
+    "complete_bipartite": lambda s: (2 * s, s * s),
+    "star": lambda s: (s, s - 1),
+    "prism": lambda s: (2 * s, 3 * s),
+}
 
 FAMILY_NAMES: tuple[str, ...] = tuple(sorted(list(_FAMILIES) + ["cube_q3"]))
 

@@ -13,8 +13,12 @@ import pytest
 import oed
 from oed import MAX_VERTICES, Graph, gen_family, to_edge_list
 from oed.cli import main
+from oed.graph import MAX_GENERATED_EDGES, MAX_TOKEN_CHARS
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
+VERTEX_TAIL = f"vertices, at most {MAX_VERTICES} are supported\n"
+EDGE_TAIL = f"edges, at most {MAX_GENERATED_EDGES} are supported\n"
+TOKEN_TAIL = f"characters, at most {MAX_TOKEN_CHARS} are supported\n"
 
 
 @pytest.fixture
@@ -234,14 +238,9 @@ class TestExitCodes:
         assert main(["count", "--input", str(path), "--method", "brute"]) == 3
         assert "28" in capsys.readouterr().err
 
-    def test_bad_thread_env_exit_2(self, k3_file, capsys, monkeypatch):
-        monkeypatch.setenv("OED_THREADS", "many")
-        assert main(["delta", "--input", k3_file]) == 2
-        assert "OED_THREADS" in capsys.readouterr().err
-
     @pytest.mark.parametrize("env", [None, "many"])
     def test_component_cap_exit_3(self, tmp_path, capsys, monkeypatch, env):
-        # K12 is one component of 66 edges; its cap is checked before OED_THREADS.
+        # K12 is one component of 66 edges; OED_THREADS, if set, is ignored.
         if env is not None:
             monkeypatch.setenv("OED_THREADS", env)
         path = tmp_path / "dense.txt"
@@ -251,13 +250,24 @@ class TestExitCodes:
             "oed: error: graph has 66 edges, enumeration engines support at most 62\n"
         )
 
-    def test_component_bad_thread_env_exit_2(self, k3_file, capsys, monkeypatch):
+    def test_thread_env_ignored(self, k3_file, capsys, monkeypatch):
+        monkeypatch.delenv("OED_THREADS", raising=False)
+        assert main(["delta", "--input", k3_file]) == 0
+        unset = capsys.readouterr()
         monkeypatch.setenv("OED_THREADS", "many")
-        assert main(["delta", "--input", k3_file, "--engine", "components"]) == 2
-        assert "OED_THREADS" in capsys.readouterr().err
+        assert main(["delta", "--input", k3_file]) == 0
+        assert capsys.readouterr() == unset
+
+    def test_memory_error_exit_3(self, k3_file, capsys, monkeypatch):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr("oed.cli.load_graph", exhausted)
+        assert main(["count", "--input", k3_file]) == 3
+        assert capsys.readouterr().err == "oed: error: out of memory\n"
 
     def test_component_edgeless_ignores_thread_env(self, tmp_path, capsys, monkeypatch):
-        # No component has an edge, so nothing reads OED_THREADS.
+        # Nothing reads OED_THREADS, so any value is ignored.
         monkeypatch.setenv("OED_THREADS", "many")
         path = tmp_path / "edgeless.txt"
         path.write_text("4 0\n")
@@ -265,19 +275,34 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["delta"] == ["0"] * 5
 
     @pytest.mark.parametrize(
-        "args,text,code",
+        "args,text,code,tail",
         [
-            (["count", "--input"], "99999999999999999999 0\n", 3),
-            (["delta", "--input"], f"p edge {MAX_VERTICES + 1} 0\n", 3),
-            (["gen", "path", "99999999999999999999"], None, 3),
+            (["count", "--input"], "99999999999999999999 0\n", 3, VERTEX_TAIL),
+            (["delta", "--input"], f"p edge {MAX_VERTICES + 1} 0\n", 3, VERTEX_TAIL),
+            (["gen", "path", "99999999999999999999"], None, 3, VERTEX_TAIL),
             # 2 * size vertices: just over the bound.
-            (["gen", "prism", str(MAX_VERTICES // 2 + 2)], None, 3),
+            (["gen", "prism", str(MAX_VERTICES // 2 + 2)], None, 3, VERTEX_TAIL),
             # sparse_wide's probe: 15,000 vertices stay well inside the bound.
-            (["count", "--input"], "15000 1\n0 1\n", 0),
+            (["count", "--input"], "15000 1\n0 1\n", 0, None),
+            # Inside the vertex bound, with about 2 * 10^8 and 10^8 edges.
+            (["gen", "complete", "20000"], None, 3, EDGE_TAIL),
+            (["gen", "complete_bipartite", "10000"], None, 3, EDGE_TAIL),
+            # int() is quadratic in the digits: a million-digit count must
+            # be refused before it is converted.
+            (["count", "--input"], "9" * 10**6 + " 0\n", 3, TOKEN_TAIL),
         ],
-        ids=["native-header", "dimacs-header", "gen-path", "gen-prism", "n15000"],
+        ids=[
+            "native-header",
+            "dimacs-header",
+            "gen-path",
+            "gen-prism",
+            "n15000",
+            "gen-complete",
+            "gen-complete-bipartite",
+            "long-token",
+        ],
     )
-    def test_vertex_count_bound(self, tmp_path, args, text, code):
+    def test_vertex_count_bound(self, tmp_path, args, text, code, tail):
         if text is not None:
             path = tmp_path / "g.txt"
             path.write_text(text)
@@ -293,16 +318,16 @@ class TestExitCodes:
             "print(time.perf_counter() - start)\n"
             "sys.exit(code)\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != "OED_THREADS"}
-        env["PYTHONPATH"] = str(Path(oed.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
         )
-        assert proc.returncode == code, proc.stderr
+        assert proc.returncode == code, proc.stderr[-300:]
         assert float(proc.stdout.splitlines()[-1]) < 1.0
         if code == 3:
-            assert proc.stderr.endswith(f"vertices, at most {MAX_VERTICES} are supported\n")
+            assert proc.stderr.endswith(tail)
             assert proc.stderr.count("\n") == 1
+            assert len(proc.stderr.encode()) < 200
 
 
 class TestStartup:
@@ -315,8 +340,7 @@ class TestStartup:
             "loaded = [m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')]\n"
             "print('LOADED', sorted(loaded))\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != "OED_THREADS"}
-        env["PYTHONPATH"] = str(Path(oed.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env
         )

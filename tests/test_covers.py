@@ -128,9 +128,6 @@ class TestReductionPipeline:
     def test_callable_engine(self, k3):
         assert vc_count_reduction(k3, engine=delta_graycode) == 4
 
-    def test_jobs_forwarded(self, cube):
-        assert vc_count_reduction(cube, engine="gray", jobs=3) == 35
-
     def test_beyond_oracle_reach(self):
         # 39 vertices is past the 2^n oracle cap; the component engine
         # still answers exactly, and covers multiply over components.

@@ -102,11 +102,6 @@ class TestFrontierEngine:
         assert profile.even_counts == tuple(even)
         assert profile == delta_graycode(g)
 
-    def test_env_threads_validated(self, monkeypatch, cube):
-        monkeypatch.setenv("OED_THREADS", "zero")
-        with pytest.raises(ValueError, match="OED_THREADS"):
-            delta_frontier(cube)
-
     def test_reach_k2_30(self):
         # 60 edges: 2^60 - 1 subsets for an enumeration engine.
         g = Graph.from_edges(32, [(i, j) for i in range(2) for j in range(2, 32)])
@@ -153,49 +148,6 @@ class TestComponentEngine:
         assert g.m <= 20 and len(comps) > 32
         assert any(len(c) == 1 for c in comps) and any(len(c) >= 3 for c in comps)
         assert delta_by_components(g).delta == delta_graycode(g).delta
-
-
-class TestRankPartitioning:
-    def test_split_and_merge_matches_full_run(self, cube):
-        expected = delta_graycode(cube, jobs=1)
-        for jobs in (2, 3, 7):
-            assert delta_graycode(cube, jobs=jobs) == expected
-            assert delta_naive(cube, jobs=jobs) == delta_naive(cube, jobs=1)
-
-    def test_gray_state_rederivation_mid_range(self):
-        # Start ranges at arbitrary ranks: partial censuses must tile the
-        # full census exactly.
-        from oed.delta import _gray_range
-
-        g = Graph.from_edges(
-            8,
-            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (2, 6)],
-        )
-        endpoints = tuple((u, v) for u, v in g.edges)
-        top = 1 << g.m
-        full = _gray_range(g.n, endpoints, 1, top)
-        cuts = [1, 5, 97, 341, top]
-        odd = [0] * (g.n + 1)
-        even = [0] * (g.n + 1)
-        for lo, hi in zip(cuts, cuts[1:]):
-            podd, peven = _gray_range(g.n, endpoints, lo, hi)
-            odd = [a + b for a, b in zip(odd, podd)]
-            even = [a + b for a, b in zip(even, peven)]
-        assert (odd, even) == full
-
-    def test_env_threads_used(self, monkeypatch, cube):
-        monkeypatch.setenv("OED_THREADS", "3")
-        assert delta_graycode(cube) == delta_graycode(cube, jobs=1)
-
-    def test_env_threads_invalid(self, monkeypatch, cube):
-        monkeypatch.setenv("OED_THREADS", "zero")
-        with pytest.raises(ValueError, match="OED_THREADS"):
-            delta_graycode(cube)
-
-    def test_process_pool_path(self):
-        # Large enough to cross the pool threshold with jobs > 1.
-        g = gen_family("cycle", 16)
-        assert delta_graycode(g, jobs=2) == delta_graycode(g, jobs=1)
 
 
 class TestCaps:

@@ -3,6 +3,7 @@
 import pytest
 
 from oed import (
+    CapError,
     Edge,
     Graph,
     GraphError,
@@ -19,6 +20,7 @@ from oed import (
     strip_isolated,
     to_edge_list,
 )
+from oed.graph import _SHAPES, MAX_TOKEN_CHARS
 
 
 class TestGraphConstruction:
@@ -120,6 +122,26 @@ class TestParsing:
         with pytest.raises(ParseError, match="expected 'p edge n m'"):
             parse_edge_list("p foo 3 1\ne 1 2\n")
 
+    def test_long_token_refused(self):
+        with pytest.raises(CapError) as info:
+            parse_edge_list("2 1\n0 " + "1" * 10**5 + "\n")
+        message = str(info.value)
+        assert message.startswith("line 2: vertex id '1111")
+        assert message.endswith(f"has 100000 characters, at most {MAX_TOKEN_CHARS} are supported")
+        assert len(message) < 150
+
+    def test_token_at_limit_converted(self):
+        token = "0" * (MAX_TOKEN_CHARS - 1) + "1"
+        assert parse_edge_list(f"2 1\n0 {token}\n").edges == (Edge(0, 1),)
+
+    def test_long_line_quoted_short(self):
+        line = " ".join(["1"] * 1000)
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(f"3 1\n{line}\n")
+        assert str(info.value) == (
+            f"line 2: malformed edge line {line[:40]!r}..., expected 'u v'"
+        )
+
     def test_roundtrip(self, cube):
         assert parse_edge_list(to_edge_list(cube)) == cube
 
@@ -213,6 +235,14 @@ class TestFamilies:
             gen_family("cycle", 2)
         with pytest.raises(ValueError):
             gen_family("path", 0)
+        # A negative size is refused as a size, not counted as a huge graph.
+        with pytest.raises(ValueError, match="size must be"):
+            gen_family("complete", -5000)
+
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    def test_shapes_match_built_graphs(self, name):
+        g = gen_family(name, 6)
+        assert _SHAPES[name](6) == (g.n, g.m)
 
 
 class TestProperties:

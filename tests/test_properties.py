@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from reference import reference_delta
 
 from oed import (
+    CapError,
     DeltaPolynomial,
     Graph,
+    ParseError,
     add_isolated,
     brute_force_vc_count,
     delta_by_components,
@@ -39,6 +41,16 @@ class TestGraphInvariants:
     @given(graphs())
     def test_edge_list_round_trip(self, g):
         assert parse_edge_list(to_edge_list(g)) == g
+
+    @settings(deadline=None)
+    @given(st.binary(max_size=200))
+    @example(b"p edge 2 1\ne 1 1\n")
+    @example(b"1 1\n0 " + b"7" * 100 + b"\n")
+    def test_parser_raises_only_parse_or_cap_errors(self, data):
+        try:
+            parse_edge_list(data)
+        except (ParseError, CapError):
+            pass
 
     @given(graphs())
     def test_degree_sum_is_twice_edge_count(self, g):

@@ -116,8 +116,8 @@ class TestRunBench:
         lying = dict(delta.ENGINES)
         real_naive = lying["naive"]
 
-        def bad_naive(g, jobs=None):
-            profile = real_naive(g, jobs=jobs)
+        def bad_naive(g):
+            profile = real_naive(g)
             wrong = list(profile.delta)
             wrong[2] += 1
             return delta.DeltaProfile(

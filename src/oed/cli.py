@@ -52,7 +52,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
-    isolated = sum(1 for nbrs in g.adjacency if not nbrs)
+    isolated = g.n - len(g.endpoints())
     if args.method == "reduction":
         count = vc_count_reduction(g)
     elif args.method == "brute":

@@ -95,7 +95,6 @@ def vc_count_reduction(g: Graph, engine="frontier") -> CoverCount:
     with the same signature.
     """
     engine_fn = ENGINES[engine] if isinstance(engine, str) else engine
-    split = strip_isolated(g)
-    h = split.stripped
+    h = strip_isolated(g).stripped
     core = reduced_count_no_isolated(h, engine_fn(h))
-    return core << len(split.isolated)
+    return core << (g.n - h.n)

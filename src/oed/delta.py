@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
+from typing import Iterable
 
 from .errors import CapError
 from .graph import Graph, connected_components
@@ -234,35 +235,17 @@ def delta_by_components(g: Graph) -> DeltaProfile:
     odd/even counts are marked not computed.
     """
     w_total = DeltaPolynomial((1,))
-    for sub in _component_subgraphs(g):
-        _check_edge_cap(sub.m)
-        _, independent = _subset_sums(sub)
-        w_total = w_total * DeltaPolynomial(tuple(_binomial_transform(independent)))
+    for comp in connected_components(g):
+        if len(comp) > 1:
+            _, independent = _subset_sums(g, comp)
+            w_total = w_total * DeltaPolynomial(tuple(_binomial_transform(independent)))
     coeffs = w_total.padded(g.n + 1)
     delta = tuple(1 - coeffs[0] if k == 0 else -coeffs[k] for k in range(g.n + 1))
     return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=delta)
 
 
-def _component_subgraphs(g: Graph) -> list[Graph]:
-    """Subgraph of each component with an edge, ordered by smallest member.
-
-    Each is relabelled densely in sorted order, as ``induced_subgraph``
-    does; all of them are built in one pass over the edges.
-    """
-    comps = [sorted(c) for c in connected_components(g) if len(c) > 1]
-    place: dict[int, tuple[int, int]] = {}  # vertex -> (component, new id)
-    for i, comp in enumerate(comps):
-        for j, v in enumerate(comp):
-            place[v] = (i, j)
-    pairs: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for u, v in g.edges:
-        i, x = place[u]
-        pairs[i].append((x, place[v][1]))
-    return [Graph.from_edges(len(comp), p) for comp, p in zip(comps, pairs)]
-
-
 def _growth(
-    v: int, adjacency: tuple[frozenset[int], ...], frontier: dict[int, int], left: list[int]
+    v: int, adjacency: tuple[frozenset[int], ...], frontier: dict[int, int], left: dict[int, int]
 ) -> tuple[int, int, int]:
     """Sort key for the next vertex of the frontier DP: smallest first.
 
@@ -288,24 +271,28 @@ def _binomial_transform(c: list[int]) -> list[int]:
     return r
 
 
-def _subset_sums(g: Graph) -> tuple[list[int], list[int]]:
-    """A_t and B_t for t = 0..h over the h non-isolated vertices of g.
+def _subset_sums(g: Graph, vertices: Iterable[int]) -> tuple[list[int], list[int]]:
+    """A_t and B_t for t = 0..h over a vertex set of g of size h.
 
-    A_t sums 2^e(T), and B_t counts independent sets, over the vertex
-    sets T of size t, where e(T) is the number of edges inside T. They
-    come from a DP over the vertices in a greedy order (see ``_growth``)
+    The set must be closed under adjacency: a union of components of g.
+    A_t sums 2^e(T), and B_t counts independent sets, over the subsets T
+    of size t of the set, where e(T) is the number of edges inside T.
+    They come from a DP over the set in a greedy order (see ``_growth``)
     that keeps the frontier, the processed vertices with an unprocessed
     neighbour, small. A state is which frontier vertices are in T; it
     holds both polynomials, each packed into one int with coefficient t
     in bits [t*slot, (t+1)*slot). Every coefficient stays below
-    C(h, t) * 2^m < 2^slot, so slots never carry. The cost is about
-    h * 2^width integer operations, not 2^m.
+    C(h, t) * 2^m < 2^slot, m being the number of edges in the set, so
+    slots never carry. The cost is about h * 2^width integer operations,
+    not 2^m. Raises CapError when m is over EDGE_CAP.
     """
     adjacency = g.adjacency
-    left = [len(nbrs) for nbrs in adjacency]  # unprocessed neighbours
-    todo = {v for v, nbrs in enumerate(adjacency) if nbrs}
+    left = {v: len(adjacency[v]) for v in vertices}  # unprocessed neighbours
+    m = sum(left.values()) // 2
+    _check_edge_cap(m)
+    todo = set(left)
     h = len(todo)
-    slot = h + g.m + 1
+    slot = h + m + 1
     frontier: dict[int, int] = {}  # vertex -> its bit in a state mask
     used = 0  # bits held by frontier vertices
     states = {0: (1, 1)}
@@ -355,8 +342,7 @@ def delta_frontier(g: Graph) -> DeltaProfile:
 
     so the full parity split comes out, identical to delta_graycode's.
     """
-    _check_edge_cap(g.m)
-    sums, diffs = map(_binomial_transform, _subset_sums(g))
+    sums, diffs = map(_binomial_transform, _subset_sums(g, g.endpoints()))
     odd = [0] * (g.n + 1)
     even = [0] * (g.n + 1)
     for k in range(1, len(sums)):

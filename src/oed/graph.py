@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapError, GraphError, ParseError
@@ -42,14 +44,15 @@ class Edge(NamedTuple):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    ``adjacency[v]`` is the neighbor set of v, i.e. the symmetric closure
-    of ``edges``. Instances are immutable and safe to share between
-    threads or processes.
+    A graph is its vertex count and its canonical edge tuple; nothing is
+    stored per vertex. ``adjacency[v]``, the neighbor set of v (the
+    symmetric closure of ``edges``), is derived on first use, and every
+    isolated vertex shares one empty set. Instances are immutable and
+    safe to share between threads.
     """
 
     n: int
     edges: tuple[Edge, ...]
-    adjacency: tuple[frozenset[int], ...]
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -69,11 +72,20 @@ class Graph:
             seen.add(e)
             edges.append(e)
         edges.sort()
-        neighbors: list[set[int]] = [set() for _ in range(n)]
-        for e in edges:
-            neighbors[e.u].add(e.v)
-            neighbors[e.v].add(e.u)
-        return cls(n, tuple(edges), tuple(frozenset(s) for s in neighbors))
+        return cls(n, tuple(edges))
+
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        neighbors: dict[int, set[int]] = {}
+        for u, v in self.edges:
+            neighbors.setdefault(u, set()).add(v)
+            neighbors.setdefault(v, set()).add(u)
+        none: frozenset[int] = frozenset()  # frozenset(none) is none itself
+        return tuple(frozenset(neighbors.get(v, none)) for v in range(self.n))
+
+    def endpoints(self) -> set[int]:
+        """The vertices with an edge, i.e. every vertex that is not isolated."""
+        return {x for e in self.edges for x in e}
 
     @property
     def m(self) -> int:
@@ -89,16 +101,21 @@ class Graph:
 
 @dataclass(frozen=True)
 class IsolatedSplit:
-    """Partition of a graph into its isolated vertices and the rest.
+    """Partition of an n-vertex graph into its isolated vertices and the rest.
 
     ``stripped`` is the graph on the non-isolated vertices, relabeled to
     dense ids via ``relabel_map`` (original id -> new id). The stripped
-    graph never contains a degree-0 vertex.
+    graph never contains a degree-0 vertex. ``isolated``, the original
+    ids of the degree-0 vertices, is derived when it is read.
     """
 
-    isolated: frozenset[int]
+    n: int
     stripped: Graph
     relabel_map: dict[int, int]
+
+    @property
+    def isolated(self) -> frozenset[int]:
+        return frozenset(range(self.n)).difference(self.relabel_map)
 
 
 @dataclass(frozen=True)
@@ -268,11 +285,9 @@ def load_graph(path) -> Graph:
 
 def strip_isolated(g: Graph) -> IsolatedSplit:
     """Split off the degree-0 vertices, relabeling the remainder densely."""
-    kept = [v for v in range(g.n) if g.adjacency[v]]
-    isolated = frozenset(v for v in range(g.n) if not g.adjacency[v])
-    relabel = {v: i for i, v in enumerate(kept)}
-    stripped = Graph.from_edges(len(kept), [(relabel[e.u], relabel[e.v]) for e in g.edges])
-    return IsolatedSplit(isolated=isolated, stripped=stripped, relabel_map=relabel)
+    relabel = {v: i for i, v in enumerate(sorted(g.endpoints()))}
+    stripped = Graph.from_edges(len(relabel), [(relabel[e.u], relabel[e.v]) for e in g.edges])
+    return IsolatedSplit(n=g.n, stripped=stripped, relabel_map=relabel)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -315,88 +330,44 @@ def gen_family(name: str, size: int | None = None) -> Graph:
     vertices or MAX_GENERATED_EDGES edges.
     """
     if name == "cube_q3":
-        return _cube_q3()
-    builder = _FAMILIES.get(name)
-    if builder is None:
-        known = ", ".join(sorted(list(_FAMILIES) + ["cube_q3"]))
-        raise ValueError(f"unknown family {name!r}; known families: {known}")
+        return Graph.from_edges(8, [(a, a ^ b) for a in range(8) for b in (1, 2, 4) if a < a ^ b])
+    family = _FAMILIES.get(name)
+    if family is None:
+        raise ValueError(f"unknown family {name!r}; known families: {', '.join(FAMILY_NAMES)}")
     if size is None:
         raise ValueError(f"family {name!r} requires a size")
-    # A size below a family's minimum is refused by its builder.
-    n, m = _SHAPES[name](max(size, 0))
+    smallest, even, shape, pairs = family
+    # The caps come first; a size below the minimum is counted as 0 here.
+    n, m = shape(max(size, 0))
     _check_vertex_count(n)
     if m > MAX_GENERATED_EDGES:
         raise CapError(f"graph has {m} edges, at most {MAX_GENERATED_EDGES} are supported")
-    return builder(size)
+    if size < smallest or (even and size % 2):
+        rule = "even and >=" if even else ">="
+        raise ValueError(f"{name} size must be {rule} {smallest}, got {size}")
+    return Graph.from_edges(n, pairs(size))
 
 
-def _gen_path(s: int) -> Graph:
-    if s < 1:
-        raise ValueError(f"path size must be >= 1, got {s}")
-    return Graph.from_edges(s, [(i, i + 1) for i in range(s - 1)])
-
-
-def _gen_cycle(s: int) -> Graph:
-    if s < 3:
-        raise ValueError(f"cycle size must be >= 3, got {s}")
-    return Graph.from_edges(s, [(i, (i + 1) % s) for i in range(s)])
-
-
-def _gen_complete(s: int) -> Graph:
-    if s < 1:
-        raise ValueError(f"complete size must be >= 1, got {s}")
-    return Graph.from_edges(s, [(i, j) for i in range(s) for j in range(i + 1, s)])
-
-
-def _gen_complete_bipartite(s: int) -> Graph:
-    if s < 1:
-        raise ValueError(f"complete_bipartite size must be >= 1, got {s}")
-    return Graph.from_edges(2 * s, [(i, s + j) for i in range(s) for j in range(s)])
-
-
-def _gen_star(s: int) -> Graph:
-    if s < 1:
-        raise ValueError(f"star size must be >= 1, got {s}")
-    return Graph.from_edges(s, [(0, i) for i in range(1, s)])
-
-
-def _cube_q3() -> Graph:
-    pairs = []
-    for a in range(8):
-        for bit in (1, 2, 4):
-            b = a ^ bit
-            if a < b:
-                pairs.append((a, b))
-    return Graph.from_edges(8, pairs)
-
-
-def _gen_prism(s: int) -> Graph:
-    # Odd cycle lengths give odd cycles in the prism, breaking bipartiteness.
-    if s < 4 or s % 2 != 0:
-        raise ValueError(f"prism size must be even and >= 4, got {s}")
-    pairs = [(i, (i + 1) % s) for i in range(s)]
-    pairs.extend((s + i, s + (i + 1) % s) for i in range(s))
-    pairs.extend((i, s + i) for i in range(s))
-    return Graph.from_edges(2 * s, pairs)
-
-
+# The sized families, one row each: the smallest size, whether the size
+# must be even, the vertex and edge counts for a size, and the edge pairs
+# for a size. A prism needs an even cycle length: an odd one gives odd
+# cycles, breaking bipartiteness.
 _FAMILIES = {
-    "path": _gen_path,
-    "cycle": _gen_cycle,
-    "complete": _gen_complete,
-    "complete_bipartite": _gen_complete_bipartite,
-    "star": _gen_star,
-    "prism": _gen_prism,
-}
-
-# Vertex and edge counts of each sized family.
-_SHAPES = {
-    "path": lambda s: (s, s - 1),
-    "cycle": lambda s: (s, s),
-    "complete": lambda s: (s, s * (s - 1) // 2),
-    "complete_bipartite": lambda s: (2 * s, s * s),
-    "star": lambda s: (s, s - 1),
-    "prism": lambda s: (2 * s, 3 * s),
+    "path": (1, False, lambda s: (s, s - 1), lambda s: [(i, i + 1) for i in range(s - 1)]),
+    "cycle": (3, False, lambda s: (s, s), lambda s: [(i, (i + 1) % s) for i in range(s)]),
+    "complete": (1, False, lambda s: (s, s * (s - 1) // 2), lambda s: combinations(range(s), 2)),
+    "complete_bipartite": (
+        1, False, lambda s: (2 * s, s * s), lambda s: product(range(s), range(s, 2 * s))
+    ),
+    "star": (1, False, lambda s: (s, s - 1), lambda s: [(0, i) for i in range(1, s)]),
+    "prism": (
+        4,
+        True,
+        lambda s: (2 * s, 3 * s),
+        lambda s: [
+            p for i in range(s) for p in ((i, (i + 1) % s), (s + i, s + (i + 1) % s), (i, s + i))
+        ],
+    ),
 }
 
 FAMILY_NAMES: tuple[str, ...] = tuple(sorted(list(_FAMILIES) + ["cube_q3"]))

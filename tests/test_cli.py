@@ -35,6 +35,41 @@ def cube_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The vertex count of each Graph.from_edges call, in call order."""
+    build = Graph.from_edges.__func__
+    built = []
+
+    def counting(cls, n, pairs):
+        built.append(n)
+        return build(cls, n, pairs)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
+    return built
+
+
+def run_capped(args, limit):
+    """Run ``main(args)`` in a child whose address space is capped at limit bytes.
+
+    A missing bound then fails with MemoryError instead of exhausting the
+    host. The child's last stdout line is main's own run time in seconds.
+    """
+    script = (
+        "import resource, sys, time\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from oed.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main({args!r})\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 class TestDelta:
     def test_json_output(self, k3_file, capsys):
         assert main(["delta", "--input", k3_file]) == 0
@@ -62,6 +97,17 @@ class TestDelta:
             "2,3,0,3",
             "3,1,3,-2",
         ]
+
+    def test_component_engine_builds_only_the_loaded_graph(
+        self, tmp_path, capsys, graph_builds
+    ):
+        path = tmp_path / "g.txt"
+        path.write_text("7 2\n0 1\n2 3\n")
+        assert main(["delta", "--input", str(path), "--engine", "components"]) == 0
+        # The DP runs on each component's vertex set of the loaded graph.
+        assert graph_builds == [7]
+        delta = json.loads(capsys.readouterr().out)["delta"]
+        assert delta == ["0", "0", "2", "0", "-1", "0", "0", "0"]
 
     def test_output_is_byte_identical_across_runs(self, cube_file, capsys):
         main(["delta", "--input", cube_file])
@@ -109,20 +155,12 @@ class TestCount:
         assert payload["isolated"] == 3
         assert payload["count"] == str(3 * 2**3)
 
-    def test_reduction_builds_stripped_graph_once(self, tmp_path, capsys, monkeypatch):
+    def test_reduction_builds_stripped_graph_once(self, tmp_path, capsys, graph_builds):
         path = tmp_path / "g.txt"
         path.write_text("7 2\n0 1\n2 3\n")
-        build = Graph.from_edges.__func__
-        built = []
-
-        def counting(cls, n, pairs):
-            built.append(n)
-            return build(cls, n, pairs)
-
-        monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
         assert main(["count", "--input", str(path), "--method", "reduction"]) == 0
         # One build for the loaded graph, one for the isolated-free remainder.
-        assert built == [7, 4]
+        assert graph_builds == [7, 4]
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"count": "72", "method": "reduction", "n": 7, "m": 2, "isolated": 3}
 
@@ -307,27 +345,27 @@ class TestExitCodes:
             path = tmp_path / "g.txt"
             path.write_text(text)
             args = [*args, str(path)]
-        # The child's address space is capped, so a missing bound fails
-        # with MemoryError instead of exhausting the host.
-        script = (
-            "import resource, sys, time\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from oed.cli import main\n"
-            "start = time.perf_counter()\n"
-            f"code = main({args!r})\n"
-            "print(time.perf_counter() - start)\n"
-            "sys.exit(code)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_capped(args, 1 << 30)
         assert proc.returncode == code, proc.stderr[-300:]
         assert float(proc.stdout.splitlines()[-1]) < 1.0
         if code == 3:
             assert proc.stderr.endswith(tail)
             assert proc.stderr.count("\n") == 1
             assert len(proc.stderr.encode()) < 200
+
+
+    def test_isolated_vertices_take_no_memory_each(self, tmp_path):
+        # A million isolated vertices fit in 128 MiB: nothing is stored per vertex.
+        path = tmp_path / "g.txt"
+        path.write_text("1000000 0\n")
+        proc = run_capped(["count", "--input", str(path)], 128 << 20)
+        assert proc.returncode == 0, proc.stderr[-300:]
+        payload = json.loads(proc.stdout.rstrip("\n").rsplit("\n", 1)[0])
+        assert payload["isolated"] == 10**6
+        # 2^(10^6) has 301,030 digits; int() on them would be quadratic.
+        count = payload["count"]
+        assert len(count) == 301_030
+        assert count[-9:] == f"{pow(2, 10**6, 10**9):09d}"
 
 
 class TestStartup:

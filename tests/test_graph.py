@@ -20,7 +20,7 @@ from oed import (
     strip_isolated,
     to_edge_list,
 )
-from oed.graph import _SHAPES, MAX_TOKEN_CHARS
+from oed.graph import _FAMILIES, MAX_TOKEN_CHARS
 
 
 class TestGraphConstruction:
@@ -239,10 +239,11 @@ class TestFamilies:
         with pytest.raises(ValueError, match="size must be"):
             gen_family("complete", -5000)
 
-    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    @pytest.mark.parametrize("name", sorted(_FAMILIES))
     def test_shapes_match_built_graphs(self, name):
         g = gen_family(name, 6)
-        assert _SHAPES[name](6) == (g.n, g.m)
+        _, _, shape, _ = _FAMILIES[name]
+        assert shape(6) == (g.n, g.m)
 
 
 class TestProperties:

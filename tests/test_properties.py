@@ -2,7 +2,7 @@
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reference_delta
+from reference import reference_census, reference_delta
 
 from oed import (
     CapError,
@@ -35,6 +35,25 @@ def graphs(draw, n_min=0, n_max=6, m_max=None):
         return Graph.from_edges(n, [])
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=m_max))
     return Graph.from_edges(n, chosen)
+
+
+@st.composite
+def scattered_graphs(draw, m_max=14):
+    """Disjoint small pieces plus isolated vertices, under shuffled labels.
+
+    The shuffle interleaves the components' labels, so no component is a
+    run of consecutive ids and the isolated vertices fall anywhere. Edges
+    past the first m_max are dropped, keeping the 2^m reference census
+    cheap.
+    """
+    pairs: list[tuple[int, int]] = []
+    n = 0
+    for piece in draw(st.lists(graphs(n_min=1, n_max=5), max_size=3)):
+        pairs.extend((u + n, v + n) for u, v in piece.edges)
+        n += piece.n
+    n += draw(st.integers(min_value=0, max_value=3))
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in pairs[:m_max]])
 
 
 class TestGraphInvariants:
@@ -74,6 +93,23 @@ class TestCensusInvariants:
     @given(graphs(n_max=6))
     def test_frontier_matches_graycode(self, g):
         assert delta_frontier(g) == delta_graycode(g)
+
+    @given(scattered_graphs())
+    # Two K4s and a path, interleaved, with an isolated vertex: 14 edges.
+    @example(
+        Graph.from_edges(
+            12,
+            [(3 * i + r, 3 * j + r) for r in (0, 1) for i in range(4) for j in range(i)]
+            + [(2, 5), (5, 8)],
+        )
+    )
+    @settings(deadline=None)
+    def test_dp_engines_match_reference_on_scattered_graphs(self, g):
+        edges = [(u, v) for u, v in g.edges]
+        odd, even = reference_census(g.n, edges)
+        profile = delta_frontier(g)
+        assert (profile.odd_counts, profile.even_counts) == (tuple(odd), tuple(even))
+        assert delta_by_components(g).delta == tuple(o - e for o, e in zip(odd, even))
 
     @given(graphs(n_max=6))
     def test_census_is_complete(self, g):

@@ -9,37 +9,43 @@ counts always sum to 2^m - 1.
 Four interchangeable engines compute the census:
 
 * ``delta_frontier``  : the default. Counts vertex subsets by a DP along
-                        a vertex order with a small frontier and turns
-                        them into the census by Mobius inversion; the
-                        cost grows with the frontier width, not with 2^m.
-                        Returns the full parity split.
+                        a vertex order with a small frontier, component
+                        by component, and turns them into the census by
+                        Mobius inversion. Returns the full parity split.
 * ``delta_naive``     : visits every subset independently, recomputing
                         V(F) from scratch each time (the reference
                         enumerator, deliberately unclever).
 * ``delta_graycode``  : visits subsets in Gray-code order, updating
                         per-vertex incidence counts incrementally, so
                         each step costs O(1) amortized.
-* ``delta_by_components``: runs the frontier DP on each connected
-                        component and multiplies the per-component
-                        polynomials W(x) = 1 - D(x); no edge subset is
-                        enumerated. Returns delta only.
+* ``delta_by_components``: the same DP, multiplying only the component
+                        polynomials W(x) = 1 - D(x). Returns delta only.
 
-All counts are plain Python integers, hence arbitrary precision end to
-end. Every engine runs in-process and serially.
+The enumeration engines refuse more than EDGE_CAP edges. The DP's cost
+grows with the frontier width, not with 2^m; it is estimated before the
+DP runs, and refused over DP_SECONDS or DP_BYTES. All counts are plain
+Python integers, hence arbitrary precision end to end. Every engine runs
+in-process and serially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import repeat
 from operator import add, mul
-from typing import Iterable
+from typing import Iterator
 
 from .errors import CapError
-from .graph import Graph, connected_components
+from .graph import Graph
 
 EDGE_CAP = 62
 IE_EDGE_CAP = 20
+
+# The frontier DP's bounds: its estimated run time in seconds and the
+# estimated peak size of its state table in bytes (see ``_plan``).
+DP_SECONDS = 60
+DP_BYTES = 512 << 20
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,6 @@ class DeltaPolynomial:
             if bj:
                 out[j : j + width] = map(add, out[j : j + width], map(mul, a, repeat(bj)))
         return DeltaPolynomial(tuple(out))
-
-    def padded(self, length: int) -> tuple[int, ...]:
-        """Coefficients extended with zeros to the given length."""
-        if len(self.coeffs) > length:
-            if any(self.coeffs[length:]):
-                raise ValueError("cannot truncate nonzero coefficients")
-            return self.coeffs[:length]
-        return self.coeffs + (0,) * (length - len(self.coeffs))
 
 
 def delta_polynomial(profile: DeltaProfile) -> DeltaPolynomial:
@@ -225,38 +223,18 @@ def delta_graycode(g: Graph) -> DeltaProfile:
 def delta_by_components(g: Graph) -> DeltaProfile:
     """Census via per-component factorization of W(x) = 1 - D(x).
 
-    Each connected component with an edge runs the frontier DP on its
-    own (see ``_subset_sums``). The binomial transform of its
-    independent-set counts B_t is its W polynomial exactly: W_0 = B_0 = 1,
-    and W_k = E_k - O_k for k >= 1. The component polynomials are then
-    multiplied. The edge cap applies per component, so the whole graph
-    may exceed it. Isolated vertices contribute the factor 1.
-    Only delta is recovered; the parity split is lost in the product, so
-    odd/even counts are marked not computed.
+    The binomial transform of a component's independent-set counts B_t
+    (``_component_sums``) is its W polynomial: W_0 = B_0 = 1, and
+    W_k = E_k - O_k for k >= 1. Only the W product is formed, so only
+    delta is recovered and odd/even counts are marked not computed.
     """
-    w_total = DeltaPolynomial((1,))
-    for comp in connected_components(g):
-        if len(comp) > 1:
-            _, independent = _subset_sums(g, comp)
-            w_total = w_total * DeltaPolynomial(tuple(_binomial_transform(independent)))
-    coeffs = w_total.padded(g.n + 1)
-    delta = tuple(1 - coeffs[0] if k == 0 else -coeffs[k] for k in range(g.n + 1))
-    return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=delta)
-
-
-def _growth(
-    v: int, adjacency: tuple[frozenset[int], ...], frontier: dict[int, int], left: dict[int, int]
-) -> tuple[int, int, int]:
-    """Sort key for the next vertex of the frontier DP: smallest first.
-
-    Processing v adds it to the frontier if it has an unprocessed
-    neighbour, and closes each frontier neighbour whose last unprocessed
-    neighbour is v. Ties go to the most frontier neighbours, then the
-    lowest id.
-    """
-    linked = [u for u in adjacency[v] if u in frontier]
-    closed = sum(1 for u in linked if left[u] == 1)
-    return ((left[v] > 0) - closed, -len(linked), v)
+    w = DeltaPolynomial((1,))
+    for _, independent in _component_sums(g):
+        w = w * DeltaPolynomial(tuple(_binomial_transform(independent)))
+    delta = [0] * (g.n + 1)
+    for k in range(1, len(w.coeffs)):
+        delta[k] = -w.coeffs[k]
+    return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=tuple(delta))
 
 
 def _binomial_transform(c: list[int]) -> list[int]:
@@ -271,83 +249,148 @@ def _binomial_transform(c: list[int]) -> list[int]:
     return r
 
 
-def _subset_sums(g: Graph, vertices: Iterable[int]) -> tuple[list[int], list[int]]:
-    """A_t and B_t for t = 0..h over a vertex set of g of size h.
+def _plan(g: Graph) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """(m_c, steps) for each component with an edge, in the DP's order.
 
-    The set must be closed under adjacency: a union of components of g.
-    A_t sums 2^e(T), and B_t counts independent sets, over the subsets T
-    of size t of the set, where e(T) is the number of edges inside T.
-    They come from a DP over the set in a greedy order (see ``_growth``)
-    that keeps the frontier, the processed vertices with an unprocessed
-    neighbour, small. A state is which frontier vertices are in T; it
-    holds both polynomials, each packed into one int with coefficient t
-    in bits [t*slot, (t+1)*slot). Every coefficient stays below
-    C(h, t) * 2^m < 2^slot, m being the number of edges in the set, so
-    slots never carry. The cost is about h * 2^width integer operations,
-    not 2^m. Raises CapError when m is over EDGE_CAP.
+    The vertex with the smallest ``growth`` key goes next: the fewest
+    vertices it opens on the frontier net of those it closes (v opens if
+    it keeps an unprocessed neighbour, and closes each frontier neighbour
+    whose last unprocessed neighbour it is), then the most frontier
+    neighbours, then the lowest id. A frontier neighbour's key is at most
+    (1, -1, v) and any other vertex's is (1, 0, v), so only the frontier's
+    unprocessed neighbours compete; a heap holds their keys, and takes a
+    new one whenever a key changes. The frontier empties exactly when a
+    component is done, and the lowest unprocessed id goes next. A step
+    (inner, drop, vbit) holds the state bits of the vertex's frontier
+    neighbours, the bits freed after it, and its own bit (0 if it leaves
+    at once).
+
+    Model: a step reading the 2^w states of a w-vertex frontier costs
+    2^w * (0.6 us + 8 ns * words) and 2^w * (16 * words + 150) bytes, for
+    packed ints of that many 64-bit words; folding a component into the
+    product over H earlier vertices costs 0.25 us * (H + 1)(h_c + 1).
+    Raises CapError once the running estimate, with only the edges seen
+    so far in the slot, passes DP_SECONDS or a step passes DP_BYTES.
     """
     adjacency = g.adjacency
-    left = {v: len(adjacency[v]) for v in vertices}  # unprocessed neighbours
-    m = sum(left.values()) // 2
-    _check_edge_cap(m)
+    left = {v: len(adjacency[v]) for v in g.endpoints()}  # unprocessed neighbours
     todo = set(left)
-    h = len(todo)
-    slot = h + m + 1
     frontier: dict[int, int] = {}  # vertex -> its bit in a state mask
     used = 0  # bits held by frontier vertices
-    states = {0: (1, 1)}
-    while todo:
-        v = min(todo, key=lambda x: _growth(x, adjacency, frontier, left))
-        todo.remove(v)
-        inner = drop = 0
-        for u in adjacency[v]:
-            left[u] -= 1
-            if u in frontier:
-                inner |= 1 << frontier[u]
-                if not left[u]:
-                    drop |= 1 << frontier.pop(u)
-        used &= ~drop
-        vbit = 0
-        if left[v]:
-            vbit = ~used & (used + 1)
-            used |= vbit
-            frontier[v] = vbit.bit_length() - 1
-        nxt: dict[int, tuple[int, int]] = {}
-        for mask, (a, b) in states.items():
-            c = (mask & inner).bit_count()
-            out = mask & ~drop
-            for key, da, db in (
-                (out, a, b),
-                (out | vbit, a << (slot + c), 0 if c else b << slot),
-            ):
-                prev = nxt.get(key)
-                nxt[key] = (da, db) if prev is None else (prev[0] + da, prev[1] + db)
-        states = nxt
-    a, b = states[0]
-    low = (1 << slot) - 1
-    return (
-        [a >> (t * slot) & low for t in range(h + 1)],
-        [b >> (t * slot) & low for t in range(h + 1)],
-    )
+    plan = []
+    seconds = 0.0
+    earlier = 0  # vertices of finished components
+
+    def growth(v: int) -> tuple[int, int, int]:
+        linked = [u for u in adjacency[v] if u in frontier]
+        return ((left[v] > 0) - sum(left[u] == 1 for u in linked), -len(linked), v)
+
+    keys: list[tuple[int, int, int]] = []  # heap of candidate keys, stale ones included
+    for v in sorted(left):
+        if v not in todo:
+            continue
+        steps: list[tuple[int, int, int]] = []
+        m = reads = weighted = 0
+        while True:
+            todo.remove(v)
+            size = 1 << len(frontier)  # states the step reads
+            inner = drop = 0
+            for u in adjacency[v]:
+                left[u] -= 1
+                if u in frontier:
+                    inner |= 1 << frontier[u]
+                    if not left[u]:
+                        drop |= 1 << frontier.pop(u)
+            used &= ~drop
+            vbit = 0
+            if left[v]:
+                vbit = ~used & (used + 1)
+                used |= vbit
+                frontier[v] = vbit.bit_length() - 1
+            # The keys that changed: v's unprocessed neighbours', and that of
+            # the last unprocessed neighbour of a frontier vertex next to v.
+            for u in adjacency[v]:
+                if u in todo:
+                    heappush(keys, growth(u))
+                elif left[u] == 1:
+                    heappush(keys, growth(next(w for w in adjacency[u] if w in todo)))
+            steps.append((inner, drop, vbit))
+            m += inner.bit_count()
+            i = len(steps)
+            slot = i + m + 1
+            reads += size
+            weighted += i * size
+            estimate = seconds + 0.6e-6 * reads + 8e-9 * weighted * slot / 64
+            estimate += 0.25e-6 * (earlier + 1) * (i + 1)
+            nbytes = size * (i * slot // 4 + 150)
+            if estimate > DP_SECONDS or nbytes > DP_BYTES:
+                raise CapError(
+                    f"census DP estimated at {estimate:.1f} s and {nbytes >> 20} MiB or more,"
+                    f" at most {DP_SECONDS} s and {DP_BYTES >> 20} MiB are supported"
+                )
+            if not frontier:
+                break
+            while keys[0][2] not in todo or keys[0] != growth(keys[0][2]):
+                heappop(keys)
+            v = heappop(keys)[2]
+        seconds = estimate
+        earlier += i
+        plan.append((m, steps))
+    return plan
+
+
+def _component_sums(g: Graph) -> Iterator[tuple[list[int], list[int]]]:
+    """A_t and B_t for t = 0..h_c, for each component of g with an edge.
+
+    A_t sums 2^e(T), and B_t counts independent sets, over the subsets T
+    of size t of the component's h_c vertices, e(T) being the edges inside
+    T. The DP runs along the component's steps of ``_plan``. A state is
+    which frontier vertices are in T; it holds both polynomials, each
+    packed into one int with coefficient t in bits [t*slot, (t+1)*slot).
+    Every coefficient is below C(h_c, t) * 2^m_c < 2^slot, so no carries.
+    """
+    for m, steps in _plan(g):
+        h = len(steps)
+        slot = h + m + 1
+        states = {0: (1, 1)}
+        for inner, drop, vbit in steps:
+            nxt: dict[int, tuple[int, int]] = {}
+            for mask, (a, b) in states.items():
+                c = (mask & inner).bit_count()
+                out = mask & ~drop
+                for key, da, db in (
+                    (out, a, b),
+                    (out | vbit, a << (slot + c), 0 if c else b << slot),
+                ):
+                    prev = nxt.get(key)
+                    nxt[key] = (da, db) if prev is None else (prev[0] + da, prev[1] + db)
+            states = nxt
+        a, b = states[0]
+        low = (1 << slot) - 1
+        yield (
+            [a >> (t * slot) & low for t in range(h + 1)],
+            [b >> (t * slot) & low for t in range(h + 1)],
+        )
 
 
 def delta_frontier(g: Graph) -> DeltaProfile:
     """Census from vertex subsets, by a DP over a narrow vertex order.
 
-    With A_t and B_t from ``_subset_sums`` over the h non-isolated
-    vertices, Mobius inversion over vertex subsets gives, for k >= 1,
-
-        O_k + E_k = sum_t (-1)^(k-t) C(h-t, k-t) A_t
-        E_k - O_k = sum_t (-1)^(k-t) C(h-t, k-t) B_t
-
-    so the full parity split comes out, identical to delta_graycode's.
+    Mobius inversion turns a component's A_t (``_component_sums``) into
+    P_c(x) = sum_t A_t x^t (1-x)^(h_c-t), which counts its edge subsets F,
+    the empty one included, by x^|V(F)|, and B_t into W_c(x) likewise.
+    Both multiply over components. For k >= 1, O_k + E_k = P_k and
+    E_k - O_k = W_k: the full parity split, identical to delta_graycode's.
     """
-    sums, diffs = map(_binomial_transform, _subset_sums(g, g.endpoints()))
+    p = w = DeltaPolynomial((1,))
+    for sums, independent in _component_sums(g):
+        p = p * DeltaPolynomial(tuple(_binomial_transform(sums)))
+        w = w * DeltaPolynomial(tuple(_binomial_transform(independent)))
     odd = [0] * (g.n + 1)
     even = [0] * (g.n + 1)
-    for k in range(1, len(sums)):
-        odd[k] = (sums[k] - diffs[k]) >> 1
-        even[k] = (sums[k] + diffs[k]) >> 1
+    for k in range(1, len(p.coeffs)):
+        odd[k] = (p.coeffs[k] - w.coeffs[k]) >> 1
+        even[k] = (p.coeffs[k] + w.coeffs[k]) >> 1
     return _parity_profile(g.n, odd, even)
 
 

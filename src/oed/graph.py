@@ -229,7 +229,8 @@ def _parse(fmt: tuple, lines: list[tuple[int, str]]) -> Graph:
         raise ParseError(f"line {body[m][0]}: unexpected extra line, header declares {m} edges")
     skip = 1 if tag else 0
     width = skip + 2
-    pairs = []
+    seen: dict[Edge, int] = {}  # edge -> line of its first occurrence
+    duplicate = ""
     for lineno, line in body:
         parts = line.split()
         if len(parts) != width or (tag and parts[0] != tag):
@@ -250,20 +251,13 @@ def _parse(fmt: tuple, lines: list[tuple[int, str]]) -> Graph:
             raise ParseError(f"line {lineno}: vertex id out of range {id_range.format(n)}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u + base}")
-        pairs.append((lineno, u, v))
-    return _build_parsed(n, pairs)
-
-
-def _build_parsed(n: int, pairs: list[tuple[int, int, int]]) -> Graph:
-    seen: dict[tuple[int, int], int] = {}
-    for lineno, u, v in pairs:
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParseError(
-                f"line {lineno}: duplicate edge ({u}, {v}), first seen on line {seen[key]}"
-            )
-        seen[key] = lineno
-    return Graph.from_edges(n, [(u, v) for _, u, v in pairs])
+        first = seen.setdefault(Edge(u, v) if u < v else Edge(v, u), lineno)
+        if first != lineno and not duplicate:
+            duplicate = f"line {lineno}: duplicate edge ({u}, {v}), first seen on line {first}"
+    # A malformed line anywhere outranks a duplicate, so it is raised last.
+    if duplicate:
+        raise ParseError(duplicate)
+    return Graph(n, tuple(sorted(seen)))
 
 
 def to_edge_list(g: Graph) -> str:

@@ -16,6 +16,7 @@ unless every engine produced the identical delta array.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -35,10 +36,11 @@ from .delta import (
     delta_frontier,
     delta_graycode,
     delta_naive,
+    _plan,
     inclusion_exclusion_direct,
 )
-from .errors import EngineDisagreement
-from .graph import Graph, connected_components, random_graph, to_edge_list
+from .errors import CapError, EngineDisagreement
+from .graph import Graph, random_graph, to_edge_list
 
 # The naive engine joins the per-graph cross-check only below this edge
 # count; above it the check would dominate the run for no extra coverage.
@@ -251,29 +253,32 @@ def subsets_visited(g: Graph, engine: str) -> int:
 
     These are census sizes, not subsets visited: only ``naive`` and
     ``gray`` enumerate edge subsets. For ``components`` the size is the
-    sum of 2^m_c - 1 over the components, with m_c counted in one pass
-    over the edges; ``oed bench`` rates every engine in census subsets
-    per second.
+    sum of 2^m_c - 1 over the components of the DP's plan, so a graph over
+    the DP's work cap raises CapError; ``oed bench`` rates every engine in
+    census subsets per second.
     """
     if engine == "components":
-        comps = connected_components(g)
-        component = {v: i for i, comp in enumerate(comps) for v in comp}
-        sizes = [0] * len(comps)
-        for e in g.edges:
-            sizes[component[e.u]] += 1
-        return sum((1 << mc) - 1 for mc in sizes)
+        return sum((1 << m) - 1 for m, _ in _plan(g))
     return (1 << g.m) - 1
 
 
 def run_bench(g: Graph, engines: list[str], repeats: int = 1) -> list[BenchRecord]:
-    """Time each engine ``repeats`` times; all runs must agree on delta."""
+    """Time each engine ``repeats`` times; all runs must agree on delta.
+
+    Raises CapError before any run for an engine whose census size is past
+    the float range, where no rate in subsets per second can be given.
+    """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if not engines:
         raise ValueError("no engines given")
+    visited = {}
     for name in engines:
         if name not in ENGINES:
             raise ValueError(f"unknown engine {name!r}; known engines: {', '.join(ENGINES)}")
+        visited[name] = subsets_visited(g, name)
+        if visited[name] > sys.float_info.max:
+            raise CapError(f"graph has {g.m} edges, too many to rate engine {name!r} in subsets/s")
     records: list[BenchRecord] = []
     deltas: dict[str, tuple[int, ...]] = {}
     for name in engines:
@@ -282,13 +287,12 @@ def run_bench(g: Graph, engines: list[str], repeats: int = 1) -> list[BenchRecor
             t0 = time.perf_counter()
             profile = fn(g)
             wall = time.perf_counter() - t0
-            visited = subsets_visited(g, name)
-            rate = visited / wall if wall > 0 else 0.0
+            rate = visited[name] / wall if wall > 0 else 0.0
             records.append(
                 BenchRecord(
                     engine=name,
                     edges=g.m,
-                    subsets=visited,
+                    subsets=visited[name],
                     wall_time=wall,
                     subsets_per_second=rate,
                 )

@@ -6,6 +6,7 @@ the engines is evidence rather than tautology. Usable only at tiny sizes.
 """
 
 from itertools import chain, combinations
+from math import comb
 
 
 def subsets(items):
@@ -27,6 +28,24 @@ def reference_census(n, edges):
             odd[len(vertices)] += 1
         else:
             even[len(vertices)] += 1
+    return odd, even
+
+
+def complete_graph_census(n):
+    """(odd, even) census of K_n in closed form, for any n.
+
+    For k >= 1, K_k's edge subsets that touch all k vertices number
+    sum_j (-1)^j C(k, j) 2^C(k-j, 2) by inclusion-exclusion over the
+    untouched vertices; weighting each by (-1)^|F| leaves
+    sum_j (-1)^j C(k, j) [k - j <= 1]. K_n has C(n, k) such k-sets.
+    """
+    odd = [0] * (n + 1)
+    even = [0] * (n + 1)
+    for k in range(1, n + 1):
+        total = sum((-1) ** j * comb(k, j) * 2 ** comb(k - j, 2) for j in range(k + 1))
+        signed = sum((-1) ** j * comb(k, j) for j in range(k + 1) if k - j <= 1)
+        odd[k] = comb(n, k) * (total - signed) // 2
+        even[k] = comb(n, k) * (total + signed) // 2
     return odd, even
 
 

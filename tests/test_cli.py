@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -37,15 +38,15 @@ def cube_file(tmp_path):
 
 @pytest.fixture
 def graph_builds(monkeypatch):
-    """The vertex count of each Graph.from_edges call, in call order."""
-    build = Graph.from_edges.__func__
+    """The vertex count of each Graph built, in build order."""
+    init = Graph.__init__
     built = []
 
-    def counting(cls, n, pairs):
+    def counting(self, n, edges):
         built.append(n)
-        return build(cls, n, pairs)
+        init(self, n, edges)
 
-    monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
+    monkeypatch.setattr(Graph, "__init__", counting)
     return built
 
 
@@ -68,6 +69,31 @@ def run_capped(args, limit):
     return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+# Over the DP's work cap: one component 39 vertices wide, a star whose
+# packed ints grow with every leaf, and 20,000 components whose product
+# would take minutes to fold.
+OVER_WORK_CAP = {
+    "complete40": to_edge_list(gen_family("complete", 40)),
+    "star10000": to_edge_list(gen_family("star", 10000)),
+    "matching20000": "40000 20000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(20000)),
+}
+
+
+def assert_over_work_cap(tmp_path, capsys, engine):
+    """Each OVER_WORK_CAP graph exits 3 with one line, in under a second."""
+    for name, text in OVER_WORK_CAP.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert main(["delta", "--input", str(path), "--engine", engine]) == 3
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert err.startswith("oed: error: census DP estimated at ")
+        assert err.endswith(" at most 60 s and 512 MiB are supported\n")
+        assert err.count("\n") == 1
+        assert elapsed < 1.0, f"{name} took {elapsed:.2f}s to refuse"
 
 
 class TestDelta:
@@ -250,6 +276,19 @@ class TestBench:
         assert main(["bench", "--input", k3_file, "--engines", "gray,warp"]) == 2
         assert "unknown engine" in capsys.readouterr().err
 
+    def test_census_past_float_range_exits_3(self, tmp_path, capsys):
+        # 2^1200 - 1 subsets overflow a float rate; refused before any run.
+        path = tmp_path / "prism400.txt"
+        path.write_text(to_edge_list(gen_family("prism", 400)))
+        start = time.perf_counter()
+        assert main(["bench", "--input", str(path), "--engines", "frontier"]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "oed: error: graph has 1200 edges, too many to rate engine 'frontier' in subsets/s\n"
+        )
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -263,11 +302,15 @@ class TestExitCodes:
         assert "self-loop" in capsys.readouterr().err
 
     def test_edge_cap_exit_3(self, tmp_path, capsys):
-        g = gen_family("complete", 12)  # 66 edges, over the engine cap
+        g = gen_family("complete", 12)  # 66 edges, over the enumeration cap
         path = tmp_path / "dense.txt"
         path.write_text(to_edge_list(g))
-        assert main(["delta", "--input", str(path)]) == 3
+        assert main(["delta", "--input", str(path), "--engine", "gray"]) == 3
         assert "62" in capsys.readouterr().err
+        # The default DP engine is capped by its estimated work instead.
+        assert main(["delta", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 12
+        assert_over_work_cap(tmp_path, capsys, "frontier")
 
     def test_vertex_cap_exit_3(self, tmp_path, capsys):
         g = gen_family("path", 30)
@@ -283,10 +326,9 @@ class TestExitCodes:
             monkeypatch.setenv("OED_THREADS", env)
         path = tmp_path / "dense.txt"
         path.write_text(to_edge_list(gen_family("complete", 12)))
-        assert main(["delta", "--input", str(path), "--engine", "components"]) == 3
-        assert capsys.readouterr().err == (
-            "oed: error: graph has 66 edges, enumeration engines support at most 62\n"
-        )
+        assert main(["delta", "--input", str(path), "--engine", "components"]) == 0
+        assert json.loads(capsys.readouterr().out)["O"] is None
+        assert_over_work_cap(tmp_path, capsys, "components")
 
     def test_thread_env_ignored(self, k3_file, capsys, monkeypatch):
         monkeypatch.delenv("OED_THREADS", raising=False)
@@ -353,6 +395,17 @@ class TestExitCodes:
             assert proc.stderr.count("\n") == 1
             assert len(proc.stderr.encode()) < 200
 
+    def test_largest_admitted_complete_graph_fits(self, tmp_path, capsys):
+        # complete 19 is the largest complete graph under the DP's work cap.
+        path = tmp_path / "k20.txt"
+        path.write_text(to_edge_list(gen_family("complete", 20)))
+        assert main(["delta", "--input", str(path)]) == 3
+        assert "MiB or more" in capsys.readouterr().err
+        path = tmp_path / "k19.txt"
+        path.write_text(to_edge_list(gen_family("complete", 19)))
+        proc = run_capped(["delta", "--input", str(path)], 1 << 30)
+        assert proc.returncode == 0, proc.stderr[-300:]
+        assert json.loads(proc.stdout.rsplit("\n", 2)[0])["n"] == 19
 
     def test_isolated_vertices_take_no_memory_each(self, tmp_path):
         # A million isolated vertices fit in 128 MiB: nothing is stored per vertex.

@@ -137,9 +137,13 @@ class TestReductionPipeline:
         assert g.n == 39
         assert vc_count_reduction(g, engine="components") == 4**13
 
-    @pytest.mark.parametrize("s,expected", [(4, 35), (6, 199), (12, 39203), (20, 45239075)])
+    @pytest.mark.parametrize(
+        "s,expected",
+        [(4, 35), (6, 199), (12, 39203), (20, 45239075), (200, prism_cover_count(200))],
+    )
     def test_prism_reach(self, s, expected):
-        # prism 12 and 20 have 36 and 60 edges: far past a 2^m sweep.
+        # prism 12 and 20 have 36 and 60 edges: far past a 2^m sweep;
+        # prism 200 has 600, far past the enumeration engines' cap.
         assert prism_cover_count(s) == expected
         g = gen_family("prism", s)
         start = time.perf_counter()
@@ -148,8 +152,14 @@ class TestReductionPipeline:
         assert count == expected
         assert elapsed < 1.0, f"prism {s} (m={g.m}) took {elapsed:.2f}s"
 
+    def test_complete_bipartite_past_edge_cap(self):
+        # K_{8,8} has 64 edges; a cover holds one whole side: 2^8 + 2^8 - 1.
+        g = gen_family("complete_bipartite", 8)
+        assert vc_count_reduction(g) == 2**9 - 1
+        assert vc_count_reduction(g, engine="components") == 2**9 - 1
+
     def test_component_reach_three_prisms(self):
-        # 90 edges in all, past the whole-graph cap; 30 per component.
+        # 90 edges in all, past the enumeration engines' cap; 30 per component.
         piece = gen_family("prism", 10)
         g = disjoint_union(disjoint_union(piece, piece), piece)
         assert g.m == 90

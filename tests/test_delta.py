@@ -4,7 +4,12 @@ import random
 import time
 
 import pytest
-from reference import reference_census, reference_delta, reference_non_cover_count
+from reference import (
+    complete_graph_census,
+    reference_census,
+    reference_delta,
+    reference_non_cover_count,
+)
 
 from oed import (
     CapError,
@@ -112,6 +117,21 @@ class TestFrontierEngine:
         assert sum(profile.delta) == 1
         assert elapsed < 1.0, f"K_2,30 took {elapsed:.2f}s"
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_graph_oracle(self, n):
+        g = gen_family("complete", n)
+        assert complete_graph_census(n) == reference_census(n, list(g.edges))
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_complete_graph_past_edge_cap(self, n):
+        # 66 and 91 edges: past the enumeration engines' 62.
+        g = gen_family("complete", n)
+        odd, even = complete_graph_census(n)
+        profile = delta_frontier(g)
+        assert profile.odd_counts == tuple(odd)
+        assert profile.even_counts == tuple(even)
+        assert delta_by_components(g).delta == profile.delta
+
 
 class TestEngineAgreement:
     @pytest.mark.parametrize("seed", range(8))
@@ -157,14 +177,16 @@ class TestCaps:
             delta_naive(g)
         with pytest.raises(CapError, match="at most 62"):
             delta_graycode(g)
-        with pytest.raises(CapError, match="at most 62"):
-            delta_frontier(g)
-        with pytest.raises(CapError):
-            delta_by_components(g)
+        # The DP engines are capped by their estimated work, not by edges.
+        assert delta_by_components(g).delta == delta_frontier(g).delta
+        huge = gen_family("complete", 40)
+        for engine in (delta_frontier, delta_by_components):
+            with pytest.raises(CapError, match="census DP estimated at"):
+                engine(huge)
 
     def test_component_cap_is_per_component(self):
-        # 64 edges total exceeds the whole-graph cap, but each of the four
-        # components has only 16, so the component engine must accept it.
+        # 64 edges in all, past the enumeration engines' cap, in four
+        # components of 16; the component engine must accept it.
         piece = gen_family("cycle", 16)
         g = piece
         for _ in range(3):

@@ -2,10 +2,8 @@
 
 from .covers import (
     VERTEX_CAP,
-    CoverCount,
     brute_force_vc_count,
     independent_set_count,
-    non_cover_count,
     reduced_count_no_isolated,
     vc_count_reduction,
 )
@@ -19,7 +17,6 @@ from .delta import (
     delta_frontier,
     delta_graycode,
     delta_naive,
-    delta_polynomial,
     inclusion_exclusion_direct,
     profile_to_json_dict,
     w_polynomial,
@@ -31,13 +28,10 @@ from .graph import (
     MAX_VERTICES,
     Graph,
     IsolatedSplit,
-    PropertyReport,
     add_isolated,
-    check_properties,
     connected_components,
     disjoint_union,
     gen_family,
-    induced_subgraph,
     load_graph,
     parse_edge_list,
     random_graph,

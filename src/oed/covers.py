@@ -25,16 +25,13 @@ from .graph import Graph, strip_isolated
 
 VERTEX_CAP = 28
 
-# Exact count of vertex covers; Python ints are arbitrary precision.
-CoverCount = int
-
 
 def _check_vertex_cap(g: Graph, what: str) -> None:
     if g.n > VERTEX_CAP:
         raise CapError(f"graph has {g.n} vertices, {what} supports at most {VERTEX_CAP}")
 
 
-def brute_force_vc_count(g: Graph) -> CoverCount:
+def brute_force_vc_count(g: Graph) -> int:
     """Count vertex covers by scanning all 2^n subsets."""
     _check_vertex_cap(g, "the brute-force cover scan")
     emasks = [(1 << e.u) | (1 << e.v) for e in g.edges]
@@ -48,7 +45,7 @@ def brute_force_vc_count(g: Graph) -> CoverCount:
     return count
 
 
-def independent_set_count(g: Graph) -> CoverCount:
+def independent_set_count(g: Graph) -> int:
     """Count independent sets by scanning all 2^n subsets."""
     _check_vertex_cap(g, "the independent-set scan")
     emasks = [(1 << e.u) | (1 << e.v) for e in g.edges]
@@ -62,12 +59,7 @@ def independent_set_count(g: Graph) -> CoverCount:
     return count
 
 
-def non_cover_count(g: Graph) -> int:
-    """Number of vertex subsets that fail to cover some edge: 2^n - covers."""
-    return (1 << g.n) - brute_force_vc_count(g)
-
-
-def reduced_count_no_isolated(g: Graph, profile: DeltaProfile) -> CoverCount:
+def reduced_count_no_isolated(g: Graph, profile: DeltaProfile) -> int:
     """Cover count of an isolated-free graph from its census.
 
     Evaluates 2^n - sum_{k=2}^{n} delta_k * 2^(n-k) exactly. The profile
@@ -85,16 +77,14 @@ def reduced_count_no_isolated(g: Graph, profile: DeltaProfile) -> CoverCount:
     return (1 << n) - weighted
 
 
-def vc_count_reduction(g: Graph, engine="frontier") -> CoverCount:
+def vc_count_reduction(g: Graph, engine: str = "frontier") -> int:
     """Cover count via the census pipeline.
 
-    Strips isolated vertices, runs the chosen census engine on the
-    remainder, and multiplies back the 2^|I| factor contributed by the
-    isolated vertices (each can freely be in or out of a cover).
-    ``engine`` is an engine id from ``oed.delta.ENGINES`` or a callable
-    with the same signature.
+    Strips isolated vertices, runs the census engine ``engine`` (an id
+    from ``oed.delta.ENGINES``) on the remainder, and multiplies back the
+    2^|I| factor contributed by the isolated vertices (each can freely be
+    in or out of a cover).
     """
-    engine_fn = ENGINES[engine] if isinstance(engine, str) else engine
     h = strip_isolated(g).stripped
-    core = reduced_count_no_isolated(h, engine_fn(h))
+    core = reduced_count_no_isolated(h, ENGINES[engine](h))
     return core << (g.n - h.n)

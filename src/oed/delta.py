@@ -77,10 +77,6 @@ class DeltaProfile:
             if any(o - e != d for o, e, d in zip(self.odd_counts, self.even_counts, self.delta)):
                 raise ValueError("delta must equal odd_counts - even_counts elementwise")
 
-    @property
-    def has_parity_counts(self) -> bool:
-        return self.odd_counts is not None
-
 
 @dataclass(frozen=True)
 class DeltaPolynomial:
@@ -106,11 +102,6 @@ class DeltaPolynomial:
             if bj:
                 out[j : j + width] = map(add, out[j : j + width], map(mul, a, repeat(bj)))
         return DeltaPolynomial(tuple(out))
-
-
-def delta_polynomial(profile: DeltaProfile) -> DeltaPolynomial:
-    """D(x) = sum_k delta_k x^k."""
-    return DeltaPolynomial(profile.delta)
 
 
 def w_polynomial(profile: DeltaProfile) -> DeltaPolynomial:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import CapError, GraphError, ParseError
 
@@ -92,45 +92,21 @@ class Graph:
         """Number of edges."""
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
 @dataclass(frozen=True)
 class IsolatedSplit:
-    """Partition of an n-vertex graph into its isolated vertices and the rest.
+    """A graph with its isolated vertices split off.
 
     ``stripped`` is the graph on the non-isolated vertices, relabeled to
-    dense ids via ``relabel_map`` (original id -> new id). The stripped
-    graph never contains a degree-0 vertex. ``isolated``, the original
-    ids of the degree-0 vertices, is derived when it is read.
+    dense ids via ``relabel_map`` (original id -> new id); a vertex
+    missing from ``relabel_map`` is isolated.
     """
 
-    n: int
     stripped: Graph
     relabel_map: dict[int, int]
-
-    @property
-    def isolated(self) -> frozenset[int]:
-        return frozenset(range(self.n)).difference(self.relabel_map)
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """Structural facts about a graph.
-
-    ``is_regular`` holds the common degree when all degrees agree, else
-    None (and None for the empty graph). ``components`` partitions the
-    vertex set, ordered by smallest member.
-    """
-
-    is_regular: int | None
-    is_bipartite: bool
-    is_connected: bool
-    components: tuple[frozenset[int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +257,7 @@ def strip_isolated(g: Graph) -> IsolatedSplit:
     """Split off the degree-0 vertices, relabeling the remainder densely."""
     relabel = {v: i for i, v in enumerate(sorted(g.endpoints()))}
     stripped = Graph.from_edges(len(relabel), [(relabel[e.u], relabel[e.v]) for e in g.edges])
-    return IsolatedSplit(n=g.n, stripped=stripped, relabel_map=relabel)
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph on the given vertices (relabeled densely in sorted order)."""
-    chosen = sorted(set(vertices))
-    for v in chosen:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} not in [0, {g.n})")
-    relabel = {v: i for i, v in enumerate(chosen)}
-    pairs = [(relabel[e.u], relabel[e.v]) for e in g.edges if e.u in relabel and e.v in relabel]
-    return Graph.from_edges(len(chosen), pairs)
+    return IsolatedSplit(stripped=stripped, relabel_map=relabel)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -411,36 +376,3 @@ def connected_components(g: Graph) -> tuple[frozenset[int], ...]:
                     queue.append(w)
         comps.append(frozenset(comp))
     return tuple(comps)
-
-
-def check_properties(g: Graph) -> PropertyReport:
-    """Report regularity, bipartiteness, connectivity and components."""
-    comps = connected_components(g)
-    degrees = [len(s) for s in g.adjacency]
-    if g.n == 0:
-        regular: int | None = None
-    else:
-        regular = degrees[0] if all(d == degrees[0] for d in degrees) else None
-    color: dict[int, int] = {}
-    bipartite = True
-    for comp in comps:
-        start = min(comp)
-        color[start] = 0
-        queue = deque([start])
-        while queue and bipartite:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-                    break
-        if not bipartite:
-            break
-    return PropertyReport(
-        is_regular=regular,
-        is_bipartite=bipartite,
-        is_connected=len(comps) <= 1,
-        components=comps,
-    )

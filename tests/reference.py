@@ -49,6 +49,34 @@ def complete_graph_census(n):
     return odd, even
 
 
+def reference_two_colouring(n, edges):
+    """Sides (A, B) of a 2-colouring with every edge between them, or None.
+
+    Grows each side from the lowest uncoloured vertex, one ring of
+    neighbours at a time, and gives up at an edge inside one side.
+    """
+    side_a, side_b = set(), set()
+    for start in range(n):
+        if start in side_a or start in side_b:
+            continue
+        side_a.add(start)
+        ring = {start}
+        while ring:
+            grown = set()
+            for u, v in edges:
+                for x, y in ((u, v), (v, u)):
+                    if x not in ring:
+                        continue
+                    own, other = (side_a, side_b) if x in side_a else (side_b, side_a)
+                    if y in own:
+                        return None
+                    if y not in other:
+                        other.add(y)
+                        grown.add(y)
+            ring = grown
+    return side_a, side_b
+
+
 def reference_delta(n, edges):
     odd, even = reference_census(n, edges)
     return [o - e for o, e in zip(odd, even)]

@@ -35,11 +35,6 @@ from oed import (
 )
 
 
-@pytest.fixture(autouse=True)
-def single_threaded(monkeypatch):
-    monkeypatch.delenv("OED_THREADS", raising=False)
-
-
 @contextmanager
 def criterion(number: int, title: str):
     try:

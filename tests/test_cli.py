@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import oed
-from oed import MAX_VERTICES, Graph, gen_family, to_edge_list
+from oed import MAX_VERTICES, VERTEX_CAP, Graph, gen_family, to_edge_list
 from oed.cli import main
 from oed.graph import MAX_GENERATED_EDGES, MAX_TOKEN_CHARS
 
@@ -20,6 +20,7 @@ K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 VERTEX_TAIL = f"vertices, at most {MAX_VERTICES} are supported\n"
 EDGE_TAIL = f"edges, at most {MAX_GENERATED_EDGES} are supported\n"
 TOKEN_TAIL = f"characters, at most {MAX_TOKEN_CHARS} are supported\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -234,6 +235,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == "oed: error: random trials need m_max >= 0, got -1\n"
 
+    def test_n_max_bound_exit_2(self):
+        # random_graph draws n_max^2 / 2 pairs, so n_max is refused before any draw.
+        args = ["verify", "--trials", "1", "--n-max", "100000", "--m-max", "0"]
+        proc = run_capped(args, 1 << 30)
+        assert proc.returncode == 2, proc.stderr[-300:]
+        assert float(proc.stdout.splitlines()[-1]) < 1.0
+        assert proc.stderr == f"oed: error: random trials need n_max <= {VERTEX_CAP}, got 100000\n"
+
 
 class TestGen:
     def test_stdout(self, capsys):
@@ -419,6 +428,33 @@ class TestExitCodes:
         count = payload["count"]
         assert len(count) == 301_030
         assert count[-9:] == f"{pow(2, 10**6, 10**9):09d}"
+
+
+def readme_examples():
+    """(argv, stdout) of each README command shown with its output."""
+    examples = []
+    for block in README.read_text().split("```")[1::2]:
+        argv, out = None, []
+        for line in block.strip("\n").splitlines() + ["$"]:
+            if line.startswith("$"):
+                if argv and out:
+                    examples.append((argv, "\n".join(out) + "\n"))
+                argv, out = line.split()[2:], []
+            else:
+                out.append(line)
+    return examples
+
+
+class TestReadme:
+    def test_examples_print_what_they_show(self, cube_file, capsys):
+        examples = readme_examples()
+        assert [argv[:3] for argv, _ in examples] == [
+            ["delta", "--input", "cube.txt"],
+            ["count", "--input", "cube.txt"],
+        ]
+        for argv, text in examples:
+            assert main([cube_file if a == "cube.txt" else a for a in argv]) == 0
+            assert capsys.readouterr().out == text
 
 
 class TestStartup:

@@ -15,7 +15,6 @@ from oed import (
     disjoint_union,
     gen_family,
     independent_set_count,
-    non_cover_count,
     random_graph,
     reduced_count_no_isolated,
     vc_count_reduction,
@@ -47,7 +46,6 @@ class TestFrozenCounts:
 
     def test_path3(self, p3):
         assert brute_force_vc_count(p3) == 5
-        assert non_cover_count(p3) == 3
 
     def test_cycle4_independent_sets(self):
         assert independent_set_count(gen_family("cycle", 4)) == 7
@@ -62,7 +60,6 @@ class TestFrozenCounts:
         g = Graph.from_edges(3, [])
         assert brute_force_vc_count(g) == 8
         assert independent_set_count(g) == 8
-        assert non_cover_count(g) == 0
 
 
 class TestOracleRelations:
@@ -124,9 +121,6 @@ class TestReductionPipeline:
     def test_edgeless(self):
         g = Graph.from_edges(4, [])
         assert vc_count_reduction(g) == 16
-
-    def test_callable_engine(self, k3):
-        assert vc_count_reduction(k3, engine=delta_graycode) == 4
 
     def test_beyond_oracle_reach(self):
         # 39 vertices is past the 2^n oracle cap; the component engine

@@ -22,7 +22,6 @@ from oed import (
     delta_frontier,
     delta_graycode,
     delta_naive,
-    delta_polynomial,
     disjoint_union,
     gen_family,
     inclusion_exclusion_direct,
@@ -74,7 +73,6 @@ class TestParityCounts:
         profile = delta_by_components(k3)
         assert profile.odd_counts is None
         assert profile.even_counts is None
-        assert not profile.has_parity_counts
 
     def test_matches_reference_census(self):
         g = random_graph(7, 0.4, seed=11)
@@ -239,7 +237,7 @@ class TestPolynomials:
 
     def test_d_plus_w_is_one(self, cube):
         profile = delta_graycode(cube)
-        d = delta_polynomial(profile).coeffs
+        d = profile.delta
         w = w_polynomial(profile).coeffs
         combined = [a + b for a, b in zip(d, w)]
         assert combined == [1] + [0] * cube.n

@@ -1,6 +1,9 @@
-"""Graph construction, parsing, generators, and structural reports."""
+"""Graph construction, parsing, generators, and components."""
+
+from collections import Counter
 
 import pytest
+from reference import reference_two_colouring
 
 from oed import (
     CapError,
@@ -9,11 +12,9 @@ from oed import (
     GraphError,
     ParseError,
     add_isolated,
-    check_properties,
     connected_components,
     disjoint_union,
     gen_family,
-    induced_subgraph,
     load_graph,
     parse_edge_list,
     random_graph,
@@ -21,6 +22,22 @@ from oed import (
     to_edge_list,
 )
 from oed.graph import _FAMILIES, MAX_TOKEN_CHARS
+
+
+def assert_cubic_bipartite(g):
+    edges = [(u, v) for u, v in g.edges]
+    degree = Counter(x for e in edges for x in e)
+    assert [degree[v] for v in range(g.n)] == [3] * g.n
+    sides = reference_two_colouring(g.n, edges)
+    assert sides is not None
+    side_a, side_b = sides
+    assert side_a | side_b == set(range(g.n))
+    assert all((u in side_a) != (v in side_a) for u, v in edges)
+
+
+def isolated(g, split):
+    """Original ids of the vertices strip_isolated dropped."""
+    return set(range(g.n)) - split.relabel_map.keys()
 
 
 class TestGraphConstruction:
@@ -34,7 +51,7 @@ class TestGraphConstruction:
 
     def test_degree_sum_is_twice_edge_count(self):
         g = gen_family("prism", 6)
-        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+        assert sum(len(s) for s in g.adjacency) == 2 * g.m
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
@@ -155,18 +172,19 @@ class TestStripIsolated:
     def test_one_isolated(self):
         g = Graph.from_edges(3, [(0, 1)])
         split = strip_isolated(g)
-        assert split.isolated == frozenset({2})
+        assert isolated(g, split) == {2}
         assert split.stripped == Graph.from_edges(2, [(0, 1)])
         assert split.relabel_map == {0: 0, 1: 1}
 
     def test_no_isolated(self, k2):
         split = strip_isolated(k2)
-        assert split.isolated == frozenset()
+        assert isolated(k2, split) == set()
         assert split.stripped == k2
 
     def test_all_isolated(self):
-        split = strip_isolated(Graph.from_edges(2, []))
-        assert split.isolated == frozenset({0, 1})
+        g = Graph.from_edges(2, [])
+        split = strip_isolated(g)
+        assert isolated(g, split) == {0, 1}
         assert split.stripped.n == 0
 
     def test_relabel_preserves_edges(self):
@@ -179,30 +197,29 @@ class TestStripIsolated:
     def test_sizes_partition(self):
         g = random_graph(9, 0.2, seed=5)
         split = strip_isolated(g)
-        assert split.stripped.n + len(split.isolated) == g.n
+        assert split.stripped.n + len(isolated(g, split)) == g.n
         assert split.stripped.m == g.m
 
 
 class TestFamilies:
     def test_cube_q3_shape(self, cube):
         assert (cube.n, cube.m) == (8, 12)
-        report = check_properties(cube)
-        assert report.is_regular == 3
-        assert report.is_bipartite
+        assert_cubic_bipartite(cube)
 
     def test_prism_shape(self):
         g = gen_family("prism", 6)
         assert (g.n, g.m) == (12, 18)
-        report = check_properties(g)
-        assert report.is_regular == 3
-        assert report.is_bipartite
-        assert report.is_connected
+        assert_cubic_bipartite(g)
+        assert len(connected_components(g)) == 1
 
     @pytest.mark.parametrize("size", range(4, 13, 2))
     def test_prism_family_is_cubic_bipartite(self, size):
-        report = check_properties(gen_family("prism", size))
-        assert report.is_regular == 3
-        assert report.is_bipartite
+        assert_cubic_bipartite(gen_family("prism", size))
+
+    def test_reference_colouring_refuses_odd_cycles(self):
+        for size in (3, 5):
+            edges = [(u, v) for u, v in gen_family("cycle", size).edges]
+            assert reference_two_colouring(size, edges) is None
 
     def test_prism_odd_size_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -248,16 +265,11 @@ class TestFamilies:
 
 class TestProperties:
     def test_triangle_report(self, k3):
-        report = check_properties(k3)
-        assert report.is_regular == 2
-        assert not report.is_bipartite
-        assert report.is_connected
+        assert connected_components(k3) == (frozenset({0, 1, 2}),)
 
     def test_disconnected_components(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        report = check_properties(g)
-        assert not report.is_connected
-        assert sorted(len(c) for c in report.components) == [2, 2]
+        assert connected_components(g) == (frozenset({0, 1}), frozenset({2, 3}))
 
     def test_components_partition_vertices(self):
         g = random_graph(10, 0.15, seed=3)
@@ -266,14 +278,7 @@ class TestProperties:
         assert seen == list(range(10))
 
     def test_empty_graph(self):
-        report = check_properties(Graph.from_edges(0, []))
-        assert report.is_regular is None
-        assert report.is_bipartite
-        assert report.is_connected
-        assert report.components == ()
-
-    def test_irregular(self, p3):
-        assert check_properties(p3).is_regular is None
+        assert connected_components(Graph.from_edges(0, [])) == ()
 
 
 class TestRandomGraph:
@@ -308,8 +313,3 @@ class TestCombinators:
         g = add_isolated(k3, 2)
         assert g.n == 5
         assert g.edges == k3.edges
-
-    def test_induced_subgraph(self):
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        sub = induced_subgraph(g, {3, 4})
-        assert sub == Graph.from_edges(2, [(0, 1)])

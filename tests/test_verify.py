@@ -3,6 +3,7 @@
 import pytest
 
 from oed import (
+    VERTEX_CAP,
     EngineDisagreement,
     all_labeled_graphs,
     check_graph,
@@ -72,6 +73,12 @@ class TestRunVerification:
     def test_trials_need_room_for_vertices(self):
         with pytest.raises(ValueError, match="n_max"):
             run_verification(trials=3, n_max=1, m_max=5)
+
+    def test_trials_need_n_max_within_oracle_reach(self):
+        # Refused before any draw; without trials n_max is not read.
+        with pytest.raises(ValueError, match=f"n_max <= {VERTEX_CAP}, got {VERTEX_CAP + 1}"):
+            run_verification(trials=1, n_max=VERTEX_CAP + 1, m_max=0)
+        assert run_verification(n_max=10**9).passing
 
     def test_trials_need_nonnegative_m_max(self):
         with pytest.raises(ValueError, match="m_max"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .covers import (
@@ -157,7 +158,14 @@ def main(argv: list[str] | None = None) -> int:
         old_digits = sys.get_int_max_str_digits()
         set_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading, which is not an error. Point stdout at
+        # devnull so the interpreter's final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CapError as exc:
         print(f"oed: error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -30,11 +30,10 @@ in-process and serially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import add, mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CapError
 from .graph import Graph
@@ -48,21 +47,26 @@ DP_SECONDS = 60
 DP_BYTES = 512 << 20
 
 
-@dataclass(frozen=True)
-class DeltaProfile:
-    """Census of a single graph: arrays indexed by vertex count k in [0, n].
-
-    ``odd_counts`` and ``even_counts`` are None when the engine that
-    produced the profile recovers only the difference (the component
-    engine), never the parity split.
-    """
-
+class _ProfileFields(NamedTuple):
     n: int
     odd_counts: tuple[int, ...] | None
     even_counts: tuple[int, ...] | None
     delta: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class DeltaProfile(_ProfileFields):
+    """Census of a single graph: arrays indexed by vertex count k in [0, n].
+
+    ``odd_counts`` and ``even_counts`` are None when the engine that
+    produced the profile recovers only the difference (the component
+    engine), never the parity split. Construction checks that the arrays
+    fit together; ``_make`` and ``_replace`` skip those checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, odd_counts, even_counts, delta):
+        self = super().__new__(cls, n, odd_counts, even_counts, delta)
         if len(self.delta) != self.n + 1:
             raise ValueError(f"delta array has length {len(self.delta)}, expected {self.n + 1}")
         if self.delta[0] != 0 or (self.n >= 1 and self.delta[1] != 0):
@@ -76,10 +80,10 @@ class DeltaProfile:
                 raise ValueError("subgraph counts cannot be negative")
             if any(o - e != d for o, e, d in zip(self.odd_counts, self.even_counts, self.delta)):
                 raise ValueError("delta must equal odd_counts - even_counts elementwise")
+        return self
 
 
-@dataclass(frozen=True)
-class DeltaPolynomial:
+class DeltaPolynomial(NamedTuple):
     """Integer polynomial with coefficient k weighting vertex count k.
 
     Used both for D(x) = sum_k delta_k x^k and for its companion

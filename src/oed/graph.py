@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, NamedTuple
@@ -40,19 +39,17 @@ class Edge(NamedTuple):
     v: int
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple("Graph", [("n", int), ("edges", tuple[Edge, ...])])):
     """Simple undirected graph on vertices 0..n-1.
 
-    A graph is its vertex count and its canonical edge tuple; nothing is
-    stored per vertex. ``adjacency[v]``, the neighbor set of v (the
-    symmetric closure of ``edges``), is derived on first use, and every
-    isolated vertex shares one empty set. Instances are immutable and
-    safe to share between threads.
+    A graph is the named pair (n, edges): its vertex count and its
+    canonical edge tuple; nothing is stored per vertex. Equality and hash
+    are those of the pair. ``adjacency[v]``, the neighbor set of v (the
+    symmetric closure of ``edges``), is derived on first use and cached in
+    the instance dict, and every isolated vertex shares one empty set. The
+    fields cannot be reassigned, and instances are safe to share between
+    threads.
     """
-
-    n: int
-    edges: tuple[Edge, ...]
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -96,8 +93,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class IsolatedSplit:
+class IsolatedSplit(NamedTuple):
     """A graph with its isolated vertices split off.
 
     ``stripped`` is the graph on the non-isolated vertices, relabeled to

@@ -18,8 +18,8 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .covers import (
     VERTEX_CAP,
@@ -47,9 +47,11 @@ NAIVE_CHECK_CAP = 20
 
 EXHAUSTIVE_N_CAP = 5
 
+# ``run_bench`` keeps one record per repeat; this bounds how many.
+BENCH_REPEATS_CAP = 1000
 
-@dataclass(frozen=True)
-class Failure:
+
+class Failure(NamedTuple):
     """One broken identity: which graph, which pair of methods, which values."""
 
     graph_text: str
@@ -66,8 +68,7 @@ class Failure:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     trials: int
     failures: list[Failure]
     seed: int
@@ -78,13 +79,8 @@ class VerificationReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "failures": [f.to_json_dict() for f in self.failures],
-            "seed": self.seed,
-            "wall_time": self.wall_time,
-            "passing": self.passing,
-        }
+        failures = [f.to_json_dict() for f in self.failures]
+        return {**self._asdict(), "failures": failures, "passing": self.passing}
 
 
 def _corrupted(profile: DeltaProfile) -> DeltaProfile:
@@ -231,8 +227,7 @@ def run_verification(
 # benchmarking
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     engine: str
     edges: int
     subsets: int
@@ -240,13 +235,7 @@ class BenchRecord:
     subsets_per_second: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "engine": self.engine,
-            "edges": self.edges,
-            "subsets": str(self.subsets),
-            "wall_time": self.wall_time,
-            "subsets_per_second": self.subsets_per_second,
-        }
+        return {**self._asdict(), "subsets": str(self.subsets)}
 
 
 def subsets_visited(g: Graph, engine: str) -> int:
@@ -269,8 +258,8 @@ def run_bench(g: Graph, engines: list[str], repeats: int = 1) -> list[BenchRecor
     Raises CapError before any run for an engine whose census size is past
     the float range, where no rate in subsets per second can be given.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if not 1 <= repeats <= BENCH_REPEATS_CAP:
+        raise ValueError(f"repeats must be in [1, {BENCH_REPEATS_CAP}], got {repeats}")
     if not engines:
         raise ValueError("no engines given")
     visited = {}

@@ -40,14 +40,14 @@ def cube_file(tmp_path):
 @pytest.fixture
 def graph_builds(monkeypatch):
     """The vertex count of each Graph built, in build order."""
-    init = Graph.__init__
+    new = Graph.__new__
     built = []
 
-    def counting(self, n, edges):
+    def counting(cls, n, edges):
         built.append(n)
-        init(self, n, edges)
+        return new(cls, n, edges)
 
-    monkeypatch.setattr(Graph, "__init__", counting)
+    monkeypatch.setattr(Graph, "__new__", staticmethod(counting))
     return built
 
 
@@ -281,6 +281,14 @@ class TestBench:
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 6
 
+    def test_repeats_bounded(self, k3_file, capsys, monkeypatch):
+        # Refused before any engine runs, so no record is kept.
+        monkeypatch.setattr("oed.verify.ENGINES", {})
+        assert main(["bench", "--input", k3_file, "--repeats", "1001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "oed: error: repeats must be in [1, 1000], got 1001\n"
+
     def test_unknown_engine_exits_2(self, k3_file, capsys):
         assert main(["bench", "--input", k3_file, "--engines", "gray,warp"]) == 2
         assert "unknown engine" in capsys.readouterr().err
@@ -458,13 +466,14 @@ class TestReadme:
 
 
 class TestStartup:
-    def test_default_commands_leave_process_pool_unloaded(self, k3_file):
+    def test_default_commands_leave_process_pool_and_dataclasses_unloaded(self, k3_file):
         script = (
             "import sys\n"
             "from oed.cli import main\n"
             f"assert main(['delta', '--input', {k3_file!r}]) == 0\n"
             f"assert main(['count', '--input', {k3_file!r}]) == 0\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')]\n"
+            "roots = ('concurrent', 'multiprocessing', 'dataclasses', 'inspect')\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] in roots]\n"
             "print('LOADED', sorted(loaded))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
@@ -518,6 +527,24 @@ class TestEntryPoints:
         missing = run("delta", "--input", str(tmp_path / "missing.txt"))
         assert missing.returncode == 2
         assert missing.stderr.startswith("oed: error:")
+
+    def test_closed_stdout_exits_0(self, tmp_path):
+        """A reader that stops reading is not an input error."""
+        path = tmp_path / "prism200.txt"
+        path.write_text(to_edge_list(gen_family("prism", 200)))
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oed", "delta", "--input", str(path), "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        lines = [proc.stdout.readline(), proc.stdout.readline()]
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert lines == [b"k,odd,even,delta\n", b"0,0,0,0\n"]
+        assert stderr == b""
 
     @pytest.mark.skipif(shutil.which("oed") is None, reason="oed is not installed on PATH")
     def test_installed_console_script(self, k3_file):

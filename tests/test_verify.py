@@ -4,7 +4,13 @@ import pytest
 
 from oed import (
     VERTEX_CAP,
+    BenchRecord,
+    DeltaPolynomial,
+    DeltaProfile,
     EngineDisagreement,
+    Failure,
+    IsolatedSplit,
+    VerificationReport,
     all_labeled_graphs,
     check_graph,
     gen_family,
@@ -13,6 +19,26 @@ from oed import (
     subsets_visited,
 )
 from oed.graph import Graph, disjoint_union
+
+# Each record type with a field of it, built twice from equal fields.
+RECORDS = [
+    pytest.param(lambda: Graph.from_edges(3, [(0, 1)]), "n", id="Graph"),
+    pytest.param(lambda: IsolatedSplit(Graph(0, ()), {}), "relabel_map", id="IsolatedSplit"),
+    pytest.param(lambda: DeltaProfile(2, None, None, (0, 0, 1)), "delta", id="DeltaProfile"),
+    pytest.param(lambda: DeltaPolynomial((1, -1)), "coeffs", id="DeltaPolynomial"),
+    pytest.param(lambda: Failure("2 1\n0 1\n", ("a", "b"), "1", "2"), "got", id="Failure"),
+    pytest.param(lambda: VerificationReport(1, [], 0, 0.5), "trials", id="VerificationReport"),
+    pytest.param(lambda: BenchRecord("gray", 1, 1, 0.5, 2.0), "wall_time", id="BenchRecord"),
+]
+
+
+@pytest.mark.parametrize("make,field", RECORDS)
+def test_records_are_immutable_values(make, field):
+    a, b = make(), make()
+    assert a == b and a is not b
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    assert a == b
 
 
 class TestCheckGraph:

@@ -38,15 +38,26 @@ from .graph import (
     strip_isolated,
     to_edge_list,
 )
-from .verify import (
-    BenchRecord,
-    Failure,
-    VerificationReport,
-    all_labeled_graphs,
-    check_graph,
-    run_bench,
-    run_verification,
-    subsets_visited,
-)
 
 __version__ = "0.1.0"
+
+# Served on first use (PEP 562), so a ``delta`` or ``count`` call does not
+# import the verification harness.
+_VERIFY_NAMES = {
+    "BenchRecord",
+    "Failure",
+    "VerificationReport",
+    "all_labeled_graphs",
+    "check_graph",
+    "run_bench",
+    "run_verification",
+    "subsets_visited",
+}
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

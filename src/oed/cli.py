@@ -24,7 +24,6 @@ from .covers import (
 from .delta import ENGINES, profile_to_json_dict
 from .errors import CapError, EngineDisagreement, ParseError
 from .graph import FAMILY_NAMES, gen_family, load_graph, to_edge_list
-from .verify import run_bench, run_verification
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -73,6 +72,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verification
+
     report = run_verification(
         exhaustive_n=args.exhaustive_n,
         n_max=args.n_max,
@@ -99,6 +100,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .verify import run_bench
+
     g = load_graph(args.input)
     engines = [name.strip() for name in args.engines.split(",") if name.strip()]
     records = run_bench(g, engines, repeats=args.repeats)

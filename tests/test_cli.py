@@ -465,23 +465,34 @@ class TestReadme:
             assert capsys.readouterr().out == text
 
 
+def modules_after_default_commands(k3_file) -> list[str]:
+    """Names in sys.modules after a fresh interpreter runs ``delta`` and ``count``."""
+    script = (
+        "import sys\n"
+        "from oed.cli import main\n"
+        f"assert main(['delta', '--input', {k3_file!r}]) == 0\n"
+        f"assert main(['count', '--input', {k3_file!r}]) == 0\n"
+        "print('LOADED', ' '.join(sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "LOADED"
+    return last[1:]
+
+
 class TestStartup:
     def test_default_commands_leave_process_pool_and_dataclasses_unloaded(self, k3_file):
-        script = (
-            "import sys\n"
-            "from oed.cli import main\n"
-            f"assert main(['delta', '--input', {k3_file!r}]) == 0\n"
-            f"assert main(['count', '--input', {k3_file!r}]) == 0\n"
-            "roots = ('concurrent', 'multiprocessing', 'dataclasses', 'inspect')\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] in roots]\n"
-            "print('LOADED', sorted(loaded))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "LOADED []"
+        roots = ("concurrent", "multiprocessing", "dataclasses", "inspect")
+        loaded = modules_after_default_commands(k3_file)
+        assert [m for m in loaded if m.split(".")[0] in roots] == []
+
+    def test_default_commands_leave_verify_unloaded(self, k3_file):
+        assert "oed.verify" not in modules_after_default_commands(k3_file)
+        from oed import run_verification  # still served from the package
+
+        assert run_verification.__module__ == "oed.verify"
 
 
 class TestEntryPoints:

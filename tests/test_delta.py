@@ -2,6 +2,7 @@
 
 import random
 import time
+from math import comb
 
 import pytest
 from reference import (
@@ -12,6 +13,7 @@ from reference import (
 )
 
 from oed import (
+    EDGE_CAP,
     CapError,
     DeltaPolynomial,
     DeltaProfile,
@@ -222,6 +224,46 @@ class TestInclusionExclusionDirect:
         profile = delta_graycode(cube)
         weighted = sum(profile.delta[k] * 2 ** (cube.n - k) for k in range(2, cube.n + 1))
         assert inclusion_exclusion_direct(cube) == weighted
+
+
+class TestRepeatedComponents:
+    def test_perfect_matching_closed_form(self):
+        # Each edge is a component with P_c = 1 + x^2 and W_c = 1 - x^2.
+        m = 1000
+        g = Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+        odd, even, delta = ([0] * (2 * m + 1) for _ in range(3))
+        for j in range(1, m + 1):
+            (odd if j % 2 else even)[2 * j] = comb(m, j)
+            delta[2 * j] = (-1) ** (j + 1) * comb(m, j)
+        profile = delta_frontier(g)
+        assert (profile.odd_counts, profile.even_counts) == (tuple(odd), tuple(even))
+        assert delta_by_components(g).delta == tuple(delta)
+
+    def test_w_multiplies_over_a_union_past_the_edge_cap(self, cube, k3):
+        prism = gen_family("prism", 6)
+        g = disjoint_union(cube, k3)
+        for _ in range(30):
+            g = disjoint_union(g, prism)
+        assert g.m > EDGE_CAP
+        w = w_polynomial(delta_graycode(cube)) * w_polynomial(delta_graycode(k3))
+        w_prism = w_polynomial(delta_graycode(prism))
+        for _ in range(30):
+            w = w * w_prism
+        assert w_polynomial(delta_frontier(g)) == w
+
+    def test_repeated_components_take_few_products(self, monkeypatch):
+        calls = []
+        plain = DeltaPolynomial.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return plain(a, b)
+
+        monkeypatch.setattr(DeltaPolynomial, "__mul__", counted)
+        piece = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]
+        g = Graph.from_edges(2000, [(u + 5 * c, v + 5 * c) for c in range(400) for u, v in piece])
+        delta_by_components(g)
+        assert len(calls) <= 10  # a fold over the components takes 400
 
 
 class TestPolynomials:

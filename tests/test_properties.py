@@ -24,6 +24,7 @@ from oed import (
     vc_count_reduction,
     w_polynomial,
 )
+from oed.delta import _product
 
 
 @st.composite
@@ -156,6 +157,36 @@ class TestPolynomialProduct:
     def test_product_is_schoolbook_convolution(self, a, b):
         product = DeltaPolynomial(tuple(a)) * DeltaPolynomial(tuple(b))
         assert product.coeffs == schoolbook(a, b)
+
+
+def folded(factors):
+    out = DeltaPolynomial((1,))
+    for f in factors:
+        out = out * f
+    return out
+
+
+factors_with_unit_constant = st.lists(
+    st.integers(min_value=-(2**40), max_value=2**40), max_size=5
+).map(lambda tail: DeltaPolynomial((1, *tail)))
+
+repeated_factors = st.lists(factors_with_unit_constant, min_size=1, max_size=4).flatmap(
+    lambda distinct: st.lists(st.sampled_from(distinct), max_size=40)
+)
+
+
+class TestRepeatedProduct:
+    @given(repeated_factors)
+    @example([])
+    @example([DeltaPolynomial((1, -3, 2))])
+    @example([DeltaPolynomial((1,))] * 5)
+    @example([DeltaPolynomial((1, 2, -1))] * 17)
+    @example([DeltaPolynomial((1, 0, -1, 0))] * 6 + [DeltaPolynomial((1, 4))] * 2)
+    @settings(deadline=None)
+    def test_product_is_the_fold(self, factors):
+        product = _product(factors)
+        assert product == folded(factors)
+        assert len(product.coeffs) == sum(len(f.coeffs) - 1 for f in factors) + 1
 
 
 class TestCoverInvariants:

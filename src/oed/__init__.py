@@ -18,7 +18,6 @@ from .delta import (
     delta_graycode,
     delta_naive,
     inclusion_exclusion_direct,
-    profile_to_json_dict,
     w_polynomial,
 )
 from .errors import CapError, EngineDisagreement, GraphError, ParseError

@@ -6,22 +6,26 @@ families), ``bench`` (engine timing). Results go to stdout as JSON (CSV
 for profiles on request); diagnostics go to stderr. Exit codes: 0
 success, 2 input error, 3 resource cap exceeded or memory exhausted, 4
 internal cross-check failure.
+
+The command line is read against one table, ``COMMANDS``; a line it does
+not admit exits 2 with one ``oed: error:`` line, and ``-h`` prints the
+usage the table gives. ``delta`` and ``count`` write their JSON and CSV
+directly, so neither loads a JSON, CSV or argument-parsing module.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import json
 import os
 import sys
+from itertools import islice, repeat
+from types import SimpleNamespace
 
 from .covers import (
     brute_force_vc_count,
     independent_set_count,
     vc_count_reduction,
 )
-from .delta import ENGINES, profile_to_json_dict
+from .delta import ENGINES, DeltaProfile
 from .errors import CapError, EngineDisagreement, ParseError
 from .graph import FAMILY_NAMES, gen_family, load_graph, to_edge_list
 
@@ -30,27 +34,60 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_CROSSCHECK = 4
 
+# Profile entries written per stdout write: a 10^6-entry profile never
+# becomes one string per entry at once.
+CHUNK = 4096
+
 
 def _emit_json(obj) -> None:
+    import json
+
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def cmd_delta(args: argparse.Namespace) -> int:
+def _write_json_profile(profile: DeltaProfile) -> None:
+    """The profile as ``json.dumps(..., indent=2)`` lays it out, counts as strings."""
+    write = sys.stdout.write
+    write(f'{{\n  "n": {profile.n},\n')
+    arrays = (("O", profile.odd_counts), ("E", profile.even_counts), ("delta", profile.delta))
+    for key, values in arrays:
+        end = "\n" if key == "delta" else ",\n"
+        if values is None:
+            write(f'  "{key}": null{end}')
+            continue
+        write(f'  "{key}": [\n    "')
+        for start in range(0, len(values), CHUNK):
+            if start:
+                write('",\n    "')
+            write('",\n    "'.join(map(str, values[start : start + CHUNK])))
+        write(f'"\n  ]{end}')
+    write("}\n")
+
+
+def _write_csv_profile(profile: DeltaProfile) -> None:
+    """One ``k,odd,even,delta`` row per k; counts the engine leaves out are empty."""
+    write = sys.stdout.write
+    write("k,odd,even,delta\n")
+    if profile.odd_counts is None:
+        odd = even = repeat("")
+    else:
+        odd, even = profile.odd_counts, profile.even_counts
+    rows = zip(range(profile.n + 1), odd, even, profile.delta)
+    while chunk := list(islice(rows, CHUNK)):
+        write("".join(f"{k},{odd},{even},{delta}\n" for k, odd, even, delta in chunk))
+
+
+def cmd_delta(args: SimpleNamespace) -> int:
     g = load_graph(args.input)
     profile = ENGINES[args.engine](g)
     if args.format == "json":
-        _emit_json(profile_to_json_dict(profile))
+        _write_json_profile(profile)
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["k", "odd", "even", "delta"])
-        for k in range(profile.n + 1):
-            odd = "" if profile.odd_counts is None else str(profile.odd_counts[k])
-            even = "" if profile.even_counts is None else str(profile.even_counts[k])
-            writer.writerow([k, odd, even, str(profile.delta[k])])
+        _write_csv_profile(profile)
     return EXIT_OK
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: SimpleNamespace) -> int:
     g = load_graph(args.input)
     isolated = g.n - len(g.endpoints())
     if args.method == "reduction":
@@ -59,19 +96,14 @@ def cmd_count(args: argparse.Namespace) -> int:
         count = brute_force_vc_count(g)
     else:
         count = independent_set_count(g)
-    _emit_json(
-        {
-            "count": str(count),
-            "method": args.method,
-            "n": g.n,
-            "m": g.m,
-            "isolated": isolated,
-        }
+    sys.stdout.write(
+        f'{{\n  "count": "{count}",\n  "method": "{args.method}",\n'
+        f'  "n": {g.n},\n  "m": {g.m},\n  "isolated": {isolated}\n}}\n'
     )
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from .verify import run_verification
 
     report = run_verification(
@@ -88,7 +120,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: SimpleNamespace) -> int:
     g = gen_family(args.family, args.size)
     text = to_edge_list(g)
     if args.output:
@@ -99,7 +131,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: SimpleNamespace) -> int:
     from .verify import run_bench
 
     g = load_graph(args.input)
@@ -109,51 +141,167 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oed",
-        description="Exact odd/even edge-subset census and vertex cover counting.",
+def _print_usage(args: SimpleNamespace) -> int:
+    sys.stdout.write(args.usage)
+    return EXIT_OK
+
+
+REQUIRED = object()
+
+# command: (handler, summary, arguments). An argument named ``--name`` is
+# an option and any other name a positional, taken in order. Each maps to
+# (kind, default): kind is a tuple of choices, int or str, and default is
+# the value when the argument is absent, or REQUIRED.
+COMMANDS = {
+    "delta": (cmd_delta, "compute a graph's census profile", {
+        "--input": (str, REQUIRED),
+        "--engine": (tuple(sorted(ENGINES)), "frontier"),
+        "--format": (("json", "csv"), "json"),
+    }),
+    "count": (cmd_count, "count vertex covers", {
+        "--input": (str, REQUIRED),
+        "--method": (("reduction", "brute", "independent"), "reduction"),
+    }),
+    "verify": (cmd_verify, "cross-check the counting identities", {
+        "--exhaustive-n": (int, 0),
+        "--n-max": (int, 0),
+        "--m-max": (int, 0),
+        "--trials": (int, 0),
+        "--seed": (int, 0),
+    }),
+    "gen": (cmd_gen, "generate a named instance family", {
+        "family": (FAMILY_NAMES, REQUIRED),
+        "size": (int, None),
+        "--output": (str, None),
+    }),
+    "bench": (cmd_bench, "time census engines on one input", {
+        "--input": (str, REQUIRED),
+        "--engines": (str, "naive,gray"),
+        "--repeats": (int, 1),
+    }),
+}
+_TOP = {"command": (tuple(COMMANDS), REQUIRED)}
+
+
+class UsageError(Exception):
+    """A command line that COMMANDS does not admit."""
+
+
+def _flag(token: str, names: list[str]) -> tuple[str, str | None] | None:
+    """The option a token names and its ``=`` value; None for a value token.
+
+    Options match by unique prefix. A token that looks like an option but
+    names none gives ``("", None)``. A lone ``-``, a negative number and a
+    token with a space in it are values.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[:2] == "--":
+        key, eq, value = token[2:].partition("=")
+        found = [key] if key in names else [n for n in names if key and n.startswith(key)]
+        if len(found) > 1:
+            matches = ", ".join("--" + n for n in found)
+            raise UsageError(f"ambiguous option: {token} could match {matches}")
+        if found:
+            return found[0], value if eq else None
+    elif token[:2] == "-h":
+        return "help", token[2:] or None
+    whole, dot, frac = token[1:].partition(".")
+    if dot and frac.isdecimal() and (not whole or whole.isdecimal()):
+        return None
+    if not dot and whole.isdecimal():
+        return None
+    return None if " " in token else ("", None)
+
+
+def _convert(key: str, kind, token: str):
+    if kind is int:
+        try:
+            return int(token)
+        except ValueError:
+            raise UsageError(f"argument {key}: invalid int value: {token!r}") from None
+    if kind is not str and token not in kind:
+        choices = ", ".join(kind)
+        raise UsageError(f"argument {key}: invalid choice: {token!r} (choose from {choices})")
+    return token
+
+
+def _attribute(key: str) -> str:
+    """The handlers' name for an argument: ``--n-max`` is ``n_max``."""
+    return key.lstrip("-").replace("-", "_")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        lines = "".join(f"  {name:<7} {spec[1]}\n" for name, spec in COMMANDS.items())
+        return f"usage: oed [-h] {{{','.join(COMMANDS)}}} ...\n\n{lines}"
+    parts = ["[-h]"]
+    _, summary, table = COMMANDS[command]
+    for key, (kind, default) in table.items():
+        meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else _attribute(key).upper()
+        part = f"{key} {meta}" if key[:2] == "--" else meta
+        parts.append(part if default is REQUIRED else f"[{part}]")
+    return f"usage: oed {command} {' '.join(parts)}\n\n{summary}\n"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line read against COMMANDS, as the handlers' arguments.
+
+    Options take ``--name value`` or ``--name=value``, match by unique
+    prefix, and the last of a repeated option wins; after ``--`` every
+    token is a value. A bad value is reported where it stands; unknown
+    tokens and missing arguments only once the line is read, so a ``-h``
+    after them still prints the usage. Raises UsageError.
+    """
+    table, values, unknown, rest = _TOP, {}, [], False
+    tokens = iter(argv)
+    for token in tokens:
+        names = [key[2:] for key in table if key[:2] == "--"] + ["help"]
+        if token == "--" and not rest:
+            rest = True
+            continue
+        flag = None if rest else _flag(token, names)
+        if flag is None:
+            slot = next((key for key in table if key[:1] != "-" and key not in values), None)
+            if slot is None:
+                unknown.append(token)
+            else:
+                values[slot] = _convert(slot, table[slot][0], token)
+                if table is _TOP:
+                    table = COMMANDS[token][2]
+            continue
+        name, value = flag
+        if not name:
+            unknown.append(token)
+            continue
+        if name == "help":
+            if value is not None:
+                raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            return SimpleNamespace(func=_print_usage, usage=_usage(values.get("command")))
+        if value is None:
+            value = next(tokens, None)
+            if value is None or _flag(value, names) is not None:
+                raise UsageError(f"argument --{name}: expected one argument")
+        values["--" + name] = _convert("--" + name, table["--" + name][0], value)
+    missing = [key for key, spec in table.items() if spec[1] is REQUIRED and key not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    command = values["command"]
+    return SimpleNamespace(
+        command=command,
+        func=COMMANDS[command][0],
+        **{_attribute(key): values.get(key, default) for key, (_, default) in table.items()},
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_delta = sub.add_parser("delta", help="compute a graph's census profile")
-    p_delta.add_argument("--input", required=True, help="edge-list or DIMACS file")
-    p_delta.add_argument("--engine", choices=sorted(ENGINES), default="frontier")
-    p_delta.add_argument("--format", choices=["json", "csv"], default="json")
-    p_delta.set_defaults(func=cmd_delta)
-
-    p_count = sub.add_parser("count", help="count vertex covers")
-    p_count.add_argument("--input", required=True, help="edge-list or DIMACS file")
-    p_count.add_argument(
-        "--method", choices=["reduction", "brute", "independent"], default="reduction"
-    )
-    p_count.set_defaults(func=cmd_count)
-
-    p_verify = sub.add_parser("verify", help="cross-check the counting identities")
-    p_verify.add_argument("--exhaustive-n", type=int, default=0, dest="exhaustive_n")
-    p_verify.add_argument("--n-max", type=int, default=0, dest="n_max")
-    p_verify.add_argument("--m-max", type=int, default=0, dest="m_max")
-    p_verify.add_argument("--trials", type=int, default=0)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_gen = sub.add_parser("gen", help="generate a named instance family")
-    p_gen.add_argument("family", choices=list(FAMILY_NAMES))
-    p_gen.add_argument("size", type=int, nargs="?", default=None)
-    p_gen.add_argument("--output", help="write to this path instead of stdout")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="time census engines on one input")
-    p_bench.add_argument("--input", required=True, help="edge-list or DIMACS file")
-    p_bench.add_argument("--engines", default="naive,gray", help="comma-separated engine ids")
-    p_bench.add_argument("--repeats", type=int, default=1)
-    p_bench.set_defaults(func=cmd_bench)
-    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"oed: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     # Counts print in full at any length: lift the interpreter's int-to-str
     # digit limit, where it has one, while the command runs.
     set_digits = getattr(sys, "set_int_max_str_digits", None)

@@ -504,18 +504,3 @@ def inclusion_exclusion_direct(g: Graph) -> int:
         else:
             total -= term
     return total
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def profile_to_json_dict(profile: DeltaProfile) -> dict:
-    """JSON-ready form; counts rendered as base-10 strings (they can exceed 2^53)."""
-    as_strings = lambda xs: None if xs is None else [str(x) for x in xs]
-    return {
-        "n": profile.n,
-        "O": as_strings(profile.odd_counts),
-        "E": as_strings(profile.even_counts),
-        "delta": [str(x) for x in profile.delta],
-    }

@@ -8,7 +8,6 @@ bit i of a mask always refers to ``graph.edges[i]``.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from functools import cached_property
 from itertools import combinations, product
@@ -339,6 +338,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    import random  # only here, so a cold delta or count does not load it
+
     rng = random.Random(seed)
     pairs = [
         (i, j)

@@ -3,8 +3,11 @@
 Everything here works on (n, edge pair list) with itertools and Python
 sets, no bitmasks and no shared code with the package, so agreement with
 the engines is evidence rather than tautology. Usable only at tiny sizes.
+The command line has an oracle too: the standard library's argparse,
+configured as the ``oed`` command's parser was before it was table-driven.
 """
 
+import argparse
 from itertools import chain, combinations
 from math import comb
 
@@ -104,3 +107,42 @@ def reference_independent_count(n, edges):
 
 def reference_non_cover_count(n, edges):
     return 2**n - reference_vc_count(n, edges)
+
+
+ENGINE_NAMES = ["components", "frontier", "gray", "naive"]
+FAMILY_NAMES = ["complete", "complete_bipartite", "cube_q3", "cycle", "path", "prism", "star"]
+
+
+def reference_parser():
+    """argparse reading the ``oed`` command line; ``command`` names the subcommand."""
+    parser = argparse.ArgumentParser(prog="oed")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_delta = sub.add_parser("delta")
+    p_delta.add_argument("--input", required=True)
+    p_delta.add_argument("--engine", choices=ENGINE_NAMES, default="frontier")
+    p_delta.add_argument("--format", choices=["json", "csv"], default="json")
+
+    p_count = sub.add_parser("count")
+    p_count.add_argument("--input", required=True)
+    p_count.add_argument(
+        "--method", choices=["reduction", "brute", "independent"], default="reduction"
+    )
+
+    p_verify = sub.add_parser("verify")
+    p_verify.add_argument("--exhaustive-n", type=int, default=0, dest="exhaustive_n")
+    p_verify.add_argument("--n-max", type=int, default=0, dest="n_max")
+    p_verify.add_argument("--m-max", type=int, default=0, dest="m_max")
+    p_verify.add_argument("--trials", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=0)
+
+    p_gen = sub.add_parser("gen")
+    p_gen.add_argument("family", choices=FAMILY_NAMES)
+    p_gen.add_argument("size", type=int, nargs="?", default=None)
+    p_gen.add_argument("--output")
+
+    p_bench = sub.add_parser("bench")
+    p_bench.add_argument("--input", required=True)
+    p_bench.add_argument("--engines", default="naive,gray")
+    p_bench.add_argument("--repeats", type=int, default=1)
+    return parser

@@ -1,19 +1,24 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
 import importlib.metadata
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import ENGINE_NAMES, FAMILY_NAMES, reference_parser
 
 import oed
-from oed import MAX_VERTICES, VERTEX_CAP, Graph, gen_family, to_edge_list
-from oed.cli import main
+from oed import ENGINES, MAX_VERTICES, VERTEX_CAP, Graph, gen_family, to_edge_list
+from oed.cli import UsageError, main, parse_args
 from oed.graph import MAX_GENERATED_EDGES, MAX_TOKEN_CHARS
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
@@ -437,6 +442,164 @@ class TestExitCodes:
         assert len(count) == 301_030
         assert count[-9:] == f"{pow(2, 10**6, 10**9):09d}"
 
+    def test_isolated_profile_is_written_in_pieces(self, tmp_path):
+        # Three arrays of 10^6 + 1 counts, 25 MB of JSON, under the same cap.
+        path = tmp_path / "g.txt"
+        path.write_text("1000000 0\n")
+        proc = run_capped(["delta", "--input", str(path)], 128 << 20)
+        assert proc.returncode == 0, proc.stderr[-300:]
+        zeros = '    "0",\n' * 10**6 + '    "0"\n'
+        ends = (("O", ","), ("E", ","), ("delta", ""))
+        arrays = "".join(f'  "{key}": [\n{zeros}  ]{end}\n' for key, end in ends)
+        assert proc.stdout.rsplit("\n", 2)[0] + "\n" == '{\n  "n": 1000000,\n' + arrays + "}\n"
+
+
+ORACLE = reference_parser()
+NUMBERS = ["0", "7", "-1", "-12", "+3", "007"]
+# Each command's options, and values each option accepts.
+OPTIONS = {
+    "delta": ["input", "engine", "format"],
+    "count": ["input", "method"],
+    "verify": ["exhaustive-n", "n-max", "m-max", "trials", "seed"],
+    "gen": ["output"],
+    "bench": ["input", "engines", "repeats"],
+}
+VALUES = {
+    "input": ["g.txt", "-1.5", "-"],
+    "output": ["f", "-7"],
+    "engine": ENGINE_NAMES,
+    "format": ["json", "csv"],
+    "method": ["reduction", "brute", "independent"],
+    "engines": ["naive,gray", "gray"],
+    **dict.fromkeys(["exhaustive-n", "n-max", "m-max", "trials", "seed", "repeats"], NUMBERS),
+}
+# gen's positionals, then tokens that no argument accepts or that look like options.
+POSITIONALS = ["path", "prism", "cube_q3", "4", "-3"]
+JUNK = ["1.5", "-.5", "-1.", "x", "", "-x", "--bogus"]
+
+
+@st.composite
+def option(draw, names):
+    """One of names, full or abbreviated, with its value, an ``=`` value or none."""
+    name = draw(st.sampled_from(names))
+    flag = "--" + name[: draw(st.integers(1, len(name)))]
+    value = draw(st.sampled_from(VALUES[name] if draw(st.integers(0, 9)) else NUMBERS + JUNK))
+    return draw(st.sampled_from([[flag, value]] * 6 + [[f"{flag}={value}"]] * 3 + [[flag]]))
+
+
+@st.composite
+def command_lines(draw):
+    """argv for ``oed``: a command, its options in any order and some stray tokens.
+
+    Most draws give a command line argparse accepts; the stray tokens,
+    missing values and other commands' options give the rest.
+    """
+    command = draw(st.sampled_from([*OPTIONS] * 4 + ["del", None]))
+    pieces = draw(st.lists(option(OPTIONS.get(command, ["input"])), max_size=4))
+    if command in ("delta", "count", "bench") and draw(st.integers(0, 4)):
+        pieces.append(["--input", "g.txt"])
+    stray = st.sampled_from(POSITIONALS + JUNK).map(lambda token: [token])
+    if not draw(st.integers(0, 3)):
+        pieces += draw(st.lists(st.one_of(option(list(VALUES)), stray), max_size=2))
+    pieces = draw(st.permutations(pieces))
+    if command == "gen":
+        # family, then perhaps a size, each at any place among the options
+        size = draw(st.lists(st.sampled_from(NUMBERS), max_size=1))
+        for token in [draw(st.sampled_from(FAMILY_NAMES)), *size]:
+            place = draw(st.integers(0, len(pieces)))
+            pieces = [*pieces[:place], [token], *pieces[place:]]
+    argv = [] if command is None else [command]
+    for piece in pieces:
+        argv += piece
+    return argv
+
+
+def oracle_parse(argv):
+    """argparse's namespace for argv as a dict, or None where it exits 2."""
+    try:
+        with redirect_stderr(io.StringIO()):
+            return vars(ORACLE.parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 2
+        return None
+
+
+def parsed(argv):
+    """parse_args's attributes for argv as a dict, or None where it refuses."""
+    try:
+        args = vars(parse_args(argv))
+    except UsageError:
+        return None
+    del args["func"]
+    return args
+
+
+class TestCommandLine:
+    def test_oracle_names_match_the_package(self):
+        assert ENGINE_NAMES == sorted(ENGINES)
+        assert FAMILY_NAMES == list(oed.FAMILY_NAMES)
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines())
+    def test_agrees_with_argparse(self, argv):
+        expected = oracle_parse(argv)
+        got = parsed(argv)
+        if expected is not None:
+            assert got == expected
+        elif got is not None:
+            # argparse takes gen's positionals in one run, so it refuses a size
+            # after an option; the same arguments in argparse's order agree.
+            assert got["command"] == "gen"
+            canonical = ["gen", got["family"]] + [str(got["size"])] * (got["size"] is not None)
+            canonical += [f"--output={got['output']}"] * (got["output"] is not None)
+            assert oracle_parse(canonical) == got
+        else:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert main(argv) == 2
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("oed: error: ")
+            assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,values",
+        [
+            (["delta", "--inp=g.txt", "--e", "gray"], {"input": "g.txt", "engine": "gray"}),
+            (["verify", "--m-max", "-1", "--m-max=-3"], {"m_max": -3}),
+            (["gen", "prism", "--output", "f", "6"], {"family": "prism", "size": 6, "output": "f"}),
+            (["gen", "--", "path", "4"], {"family": "path", "size": 4}),
+        ],
+    )
+    def test_values(self, argv, values):
+        args = parsed(argv)
+        assert {key: args[key] for key in values} == values
+
+    @pytest.mark.parametrize(
+        "argv,usage",
+        [
+            (["--help"], "usage: oed [-h] {delta,count,verify,gen,bench} ...\n"),
+            (["delta", "-h"], "usage: oed delta [-h] --input INPUT [--engine {components,"),
+            (["count", "--h"], "usage: oed count [-h] --input INPUT [--method {reduction,"),
+            (["verify", "--help"], "usage: oed verify [-h] [--exhaustive-n EXHAUSTIVE_N] [--n-max"),
+            (["gen", "-h"], f"usage: oed gen [-h] {{{','.join(FAMILY_NAMES)}}} [SIZE] [--output"),
+            (["bench", "-h"], "usage: oed bench [-h] --input INPUT [--engines ENGINES] [--repeats"),
+        ],
+    )
+    def test_help_prints_usage(self, argv, usage, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(usage)
+
+    def test_help_and_a_bad_value_count_in_order(self, capsys):
+        assert main(["delta", "--he", "--engine", "warp"]) == 0
+        assert capsys.readouterr().out.startswith("usage: oed delta ")
+        assert main(["delta", "--engine", "warp", "--he"]) == 2
+        assert capsys.readouterr().err == (
+            "oed: error: argument --engine: invalid choice: 'warp'"
+            " (choose from components, frontier, gray, naive)\n"
+        )
+
 
 def readme_examples():
     """(argv, stdout) of each README command shown with its output."""
@@ -475,7 +638,10 @@ def modules_after_default_commands(k3_file) -> list[str]:
         "print('LOADED', ' '.join(sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    # -S: no site-packages .pth file may import modules before oed runs.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1].split()
     assert last[0] == "LOADED"
@@ -493,6 +659,10 @@ class TestStartup:
         from oed import run_verification  # still served from the package
 
         assert run_verification.__module__ == "oed.verify"
+
+    def test_default_commands_load_no_parser_json_csv_or_random(self, k3_file):
+        unused = {"argparse", "json", "csv", "gettext", "locale", "random"}
+        assert unused.isdisjoint(modules_after_default_commands(k3_file))
 
 
 class TestEntryPoints:
@@ -540,22 +710,24 @@ class TestEntryPoints:
         assert missing.stderr.startswith("oed: error:")
 
     def test_closed_stdout_exits_0(self, tmp_path):
-        """A reader that stops reading is not an input error."""
+        """A reader that stops reading is not an input error, in either format."""
         path = tmp_path / "prism200.txt"
         path.write_text(to_edge_list(gen_family("prism", 200)))
         env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "oed", "delta", "--input", str(path), "--format", "csv"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        lines = [proc.stdout.readline(), proc.stdout.readline()]
-        proc.stdout.close()
-        _, stderr = proc.communicate(timeout=60)
-        assert proc.returncode == 0
-        assert lines == [b"k,odd,even,delta\n", b"0,0,0,0\n"]
-        assert stderr == b""
+        heads = {"csv": [b"k,odd,even,delta\n", b"0,0,0,0\n"], "json": [b"{\n", b'  "n": 400,\n']}
+        for fmt, head in heads.items():
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "oed", "delta", "--input", str(path), "--format", fmt],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            lines = [proc.stdout.readline(), proc.stdout.readline()]
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=60)
+            assert proc.returncode == 0
+            assert lines == head
+            assert stderr == b""
 
     @pytest.mark.skipif(shutil.which("oed") is None, reason="oed is not installed on PATH")
     def test_installed_console_script(self, k3_file):

@@ -1,5 +1,6 @@
 """Census engines against frozen values and the itertools reference oracle."""
 
+import json
 import random
 import time
 from math import comb
@@ -27,10 +28,11 @@ from oed import (
     disjoint_union,
     gen_family,
     inclusion_exclusion_direct,
-    profile_to_json_dict,
     random_graph,
+    to_edge_list,
     w_polynomial,
 )
+from oed.cli import main
 
 ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components, delta_frontier]
 
@@ -296,6 +298,14 @@ class TestPolynomials:
         assert (a * b).coeffs == (3, 6, 1, 2)
 
 
+def delta_json(g, engine, tmp_path, capsys):
+    """The JSON that ``oed delta`` prints for g."""
+    path = tmp_path / "g.txt"
+    path.write_text(to_edge_list(g))
+    assert main(["delta", "--input", str(path), "--engine", engine]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestProfileValidation:
     def test_delta_must_match_counts(self):
         with pytest.raises(ValueError, match="elementwise"):
@@ -309,8 +319,8 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="k < 2"):
             DeltaProfile(n=2, odd_counts=None, even_counts=None, delta=(0, 1, 0))
 
-    def test_json_dict_uses_strings(self, k3):
-        d = profile_to_json_dict(delta_graycode(k3))
+    def test_json_dict_uses_strings(self, k3, tmp_path, capsys):
+        d = delta_json(k3, "gray", tmp_path, capsys)
         assert d == {
             "n": 3,
             "O": ["0", "0", "3", "1"],
@@ -318,8 +328,8 @@ class TestProfileValidation:
             "delta": ["0", "0", "3", "-2"],
         }
 
-    def test_json_dict_components(self, k3):
-        d = profile_to_json_dict(delta_by_components(k3))
+    def test_json_dict_components(self, k3, tmp_path, capsys):
+        d = delta_json(k3, "components", tmp_path, capsys)
         assert d["O"] is None
         assert d["E"] is None
         assert d["delta"] == ["0", "0", "3", "-2"]

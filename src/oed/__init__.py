@@ -22,7 +22,6 @@ from .delta import (
 )
 from .errors import CapError, EngineDisagreement, GraphError, ParseError
 from .graph import (
-    Edge,
     FAMILY_NAMES,
     MAX_VERTICES,
     Graph,

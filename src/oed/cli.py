@@ -5,7 +5,7 @@ chosen method), ``verify`` (identity cross-checks), ``gen`` (instance
 families), ``bench`` (engine timing). Results go to stdout as JSON (CSV
 for profiles on request); diagnostics go to stderr. Exit codes: 0
 success, 2 input error, 3 resource cap exceeded or memory exhausted, 4
-internal cross-check failure.
+internal cross-check failure, 130 interrupted (Ctrl-C).
 
 The command line is read against one table, ``COMMANDS``; a line it does
 not admit exits 2 with one ``oed: error:`` line, and ``-h`` prints the
@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_CROSSCHECK = 4
+EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a process ended by Ctrl-C
 
 # Profile entries written per stdout write: a 10^6-entry profile never
 # becomes one string per entry at once.
@@ -329,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"oed: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except KeyboardInterrupt:
+        print("oed: error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     finally:
         if set_digits is not None:
             set_digits(old_digits)

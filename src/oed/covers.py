@@ -34,7 +34,7 @@ def _check_vertex_cap(g: Graph, what: str) -> None:
 def brute_force_vc_count(g: Graph) -> int:
     """Count vertex covers by scanning all 2^n subsets."""
     _check_vertex_cap(g, "the brute-force cover scan")
-    emasks = [(1 << e.u) | (1 << e.v) for e in g.edges]
+    emasks = [(1 << u) | (1 << v) for u, v in g.edges]
     count = 0
     for s in range(1 << g.n):
         for em in emasks:
@@ -48,7 +48,7 @@ def brute_force_vc_count(g: Graph) -> int:
 def independent_set_count(g: Graph) -> int:
     """Count independent sets by scanning all 2^n subsets."""
     _check_vertex_cap(g, "the independent-set scan")
-    emasks = [(1 << e.u) | (1 << e.v) for e in g.edges]
+    emasks = [(1 << u) | (1 << v) for u, v in g.edges]
     count = 0
     for s in range(1 << g.n):
         for em in emasks:
@@ -65,9 +65,9 @@ def reduced_count_no_isolated(g: Graph, profile: DeltaProfile) -> int:
     Evaluates 2^n - sum_{k=2}^{n} delta_k * 2^(n-k) exactly. The profile
     must have been computed from g itself.
     """
-    for v in range(g.n):
-        if not g.adjacency[v]:
-            raise ValueError(f"vertex {v} is isolated; strip isolated vertices first")
+    isolated = g.n - len(g.endpoints())
+    if isolated:
+        raise ValueError(f"graph has isolated vertices ({isolated} of {g.n}); strip them first")
     if profile.n != g.n or len(profile.delta) != g.n + 1:
         raise ValueError(
             f"profile dimension mismatch: profile covers n={profile.n}, graph has n={g.n}"
@@ -77,13 +77,14 @@ def reduced_count_no_isolated(g: Graph, profile: DeltaProfile) -> int:
     return (1 << n) - weighted
 
 
-def vc_count_reduction(g: Graph, engine: str = "frontier") -> int:
+def vc_count_reduction(g: Graph, engine: str = "components") -> int:
     """Cover count via the census pipeline.
 
     Strips isolated vertices, runs the census engine ``engine`` (an id
     from ``oed.delta.ENGINES``) on the remainder, and multiplies back the
     2^|I| factor contributed by the isolated vertices (each can freely be
-    in or out of a cover).
+    in or out of a cover). The count reads only delta, so the default is
+    ``components``, which forms no parity split.
     """
     h = strip_isolated(g).stripped
     core = reduced_count_no_isolated(h, ENGINES[engine](h))

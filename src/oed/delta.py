@@ -341,8 +341,11 @@ def _plan(g: Graph) -> list[tuple[int, list[tuple[int, int, int]]]]:
     with only the edges seen so far in the slot, passes DP_SECONDS or a
     step passes DP_BYTES.
     """
-    adjacency = g.adjacency
-    left = {v: len(adjacency[v]) for v in g.endpoints()}  # unprocessed neighbours
+    adjacency: dict[int, list[int]] = {}  # the neighbours of each vertex with an edge
+    for u, v in g.edges:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    left = {v: len(near) for v, near in adjacency.items()}  # unprocessed neighbours
     todo = set(left)
     frontier: dict[int, int] = {}  # vertex -> its bit in a state mask
     used = 0  # bits held by frontier vertices
@@ -489,7 +492,7 @@ def inclusion_exclusion_direct(g: Graph) -> int:
         raise CapError(
             f"graph has {m} edges, the direct inclusion-exclusion oracle supports at most {IE_EDGE_CAP}"
         )
-    emask = {1 << j: (1 << e.u) | (1 << e.v) for j, e in enumerate(g.edges)}
+    emask = {1 << j: (1 << u) | (1 << v) for j, (u, v) in enumerate(g.edges)}
     total = 0
     for mask in range(1, 1 << m):
         s = mask

@@ -9,7 +9,6 @@ bit i of a mask always refers to ``graph.edges[i]``.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, NamedTuple
 
@@ -31,53 +30,37 @@ MAX_TOKEN_CHARS = 32
 _QUOTE_CHARS = 40
 
 
-class Edge(NamedTuple):
-    """Undirected edge with endpoints normalized so that u < v."""
-
-    u: int
-    v: int
-
-
-class Graph(NamedTuple("Graph", [("n", int), ("edges", tuple[Edge, ...])])):
+class Graph(NamedTuple("Graph", [("n", int), ("edges", tuple[tuple[int, int], ...])])):
     """Simple undirected graph on vertices 0..n-1.
 
     A graph is the named pair (n, edges): its vertex count and its
-    canonical edge tuple; nothing is stored per vertex. Equality and hash
-    are those of the pair. ``adjacency[v]``, the neighbor set of v (the
-    symmetric closure of ``edges``), is derived on first use and cached in
-    the instance dict, and every isolated vertex shares one empty set. The
-    fields cannot be reassigned, and instances are safe to share between
-    threads.
+    canonical edge tuple of int pairs (u, v) with u < v; nothing is stored
+    per vertex. Equality and hash are those of the pair. Instances hold no
+    other attribute and cannot be changed, so they are safe to share
+    between threads.
     """
+
+    __slots__ = ()
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from unordered endpoint pairs, validating simplicity."""
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
-        seen: set[Edge] = set()
-        edges: list[Edge] = []
+        seen: set[tuple[int, int]] = set()
+        edges: list[tuple[int, int]] = []
         for u, v in pairs:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-            e = Edge(u, v) if u < v else Edge(v, u)
+            e = (u, v) if u < v else (v, u)
             if e in seen:
-                raise GraphError(f"duplicate edge ({e.u}, {e.v})")
+                raise GraphError(f"duplicate edge {e}")
             seen.add(e)
             edges.append(e)
         edges.sort()
         return cls(n, tuple(edges))
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        neighbors: dict[int, set[int]] = {}
-        for u, v in self.edges:
-            neighbors.setdefault(u, set()).add(v)
-            neighbors.setdefault(v, set()).add(u)
-        none: frozenset[int] = frozenset()  # frozenset(none) is none itself
-        return tuple(frozenset(neighbors.get(v, none)) for v in range(self.n))
 
     def endpoints(self) -> set[int]:
         """The vertices with an edge, i.e. every vertex that is not isolated."""
@@ -200,7 +183,7 @@ def _parse(fmt: tuple, lines: list[tuple[int, str]]) -> Graph:
         raise ParseError(f"line {body[m][0]}: unexpected extra line, header declares {m} edges")
     skip = 1 if tag else 0
     width = skip + 2
-    seen: dict[Edge, int] = {}  # edge -> line of its first occurrence
+    seen: dict[tuple[int, int], int] = {}  # edge -> line of its first occurrence
     duplicate = ""
     for lineno, line in body:
         parts = line.split()
@@ -222,7 +205,7 @@ def _parse(fmt: tuple, lines: list[tuple[int, str]]) -> Graph:
             raise ParseError(f"line {lineno}: vertex id out of range {id_range.format(n)}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u + base}")
-        first = seen.setdefault(Edge(u, v) if u < v else Edge(v, u), lineno)
+        first = seen.setdefault((u, v) if u < v else (v, u), lineno)
         if first != lineno and not duplicate:
             duplicate = f"line {lineno}: duplicate edge ({u}, {v}), first seen on line {first}"
     # A malformed line anywhere outranks a duplicate, so it is raised last.
@@ -234,7 +217,7 @@ def _parse(fmt: tuple, lines: list[tuple[int, str]]) -> Graph:
 def to_edge_list(g: Graph) -> str:
     """Serialize a graph in the native edge-list format (canonical edge order)."""
     out = [f"{g.n} {g.m}"]
-    out.extend(f"{e.u} {e.v}" for e in g.edges)
+    out.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(out) + "\n"
 
 
@@ -251,14 +234,14 @@ def load_graph(path) -> Graph:
 def strip_isolated(g: Graph) -> IsolatedSplit:
     """Split off the degree-0 vertices, relabeling the remainder densely."""
     relabel = {v: i for i, v in enumerate(sorted(g.endpoints()))}
-    stripped = Graph.from_edges(len(relabel), [(relabel[e.u], relabel[e.v]) for e in g.edges])
+    stripped = Graph.from_edges(len(relabel), [(relabel[u], relabel[v]) for u, v in g.edges])
     return IsolatedSplit(stripped=stripped, relabel_map=relabel)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Disjoint union; b's vertices are shifted up by a.n."""
-    pairs = [(e.u, e.v) for e in a.edges]
-    pairs.extend((e.u + a.n, e.v + a.n) for e in b.edges)
+    pairs = list(a.edges)
+    pairs.extend((u + a.n, v + a.n) for u, v in b.edges)
     return Graph.from_edges(a.n + b.n, pairs)
 
 
@@ -266,7 +249,7 @@ def add_isolated(g: Graph, t: int) -> Graph:
     """Append t isolated vertices."""
     if t < 0:
         raise GraphError(f"cannot add {t} vertices")
-    return Graph.from_edges(g.n + t, [(e.u, e.v) for e in g.edges])
+    return Graph.from_edges(g.n + t, g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +339,10 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 def connected_components(g: Graph) -> tuple[frozenset[int], ...]:
     """Vertex sets of the connected components, ordered by smallest member."""
+    neighbors: dict[int, list[int]] = {}
+    for u, v in g.edges:
+        neighbors.setdefault(u, []).append(v)
+        neighbors.setdefault(v, []).append(u)
     seen = [False] * g.n
     comps: list[frozenset[int]] = []
     for start in range(g.n):
@@ -366,7 +353,7 @@ def connected_components(g: Graph) -> tuple[frozenset[int], ...]:
         comp = {start}
         while queue:
             v = queue.popleft()
-            for w in g.adjacency[v]:
+            for w in neighbors.get(v, ()):
                 if not seen[w]:
                     seen[w] = True
                     comp.add(w)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -728,6 +729,24 @@ class TestEntryPoints:
             assert proc.returncode == 0
             assert lines == head
             assert stderr == b""
+
+    def test_interrupt_exits_130(self, tmp_path):
+        """Ctrl-C during a long sweep ends in one stderr line, not a traceback."""
+        path = tmp_path / "prism8.txt"
+        path.write_text(to_edge_list(gen_family("prism", 8)))  # 24 edges: a 2^24 sweep
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oed", "delta", "--engine", "naive", "--input", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        time.sleep(1.0)  # past start-up, into the sweep
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert stdout == b""
+        assert stderr == b"oed: error: interrupted\n"
 
     @pytest.mark.skipif(shutil.which("oed") is None, reason="oed is not installed on PATH")
     def test_installed_console_script(self, k3_file):

@@ -161,7 +161,7 @@ class TestComponentEngine:
         pairs, n = [], 0
         for _ in range(32):
             piece = random_graph(rng.randint(1, 4), 0.2, seed=rng.getrandbits(32))
-            pairs += [(e.u + n, e.v + n) for e in piece.edges]
+            pairs += [(u + n, v + n) for u, v in piece.edges]
             n += piece.n
         labels = list(range(n))
         rng.shuffle(labels)

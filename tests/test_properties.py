@@ -1,5 +1,7 @@
 """Property-based invariants over randomly drawn small graphs."""
 
+import random
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import reference_census, reference_delta
@@ -56,6 +58,29 @@ def scattered_graphs(draw, m_max=14):
     return Graph.from_edges(n, [(label[u], label[v]) for u, v in pairs[:m_max]])
 
 
+@st.composite
+def connected_unions(draw, m_max=80):
+    """Random connected pieces side by side, then isolated vertices.
+
+    Each piece is a random tree on 2-10 vertices plus up to as many other
+    edges as it has vertices; pieces stop before the edges pass m_max, far
+    past the 2^m reference census.
+    """
+    pairs: list[tuple[int, int]] = []
+    n = 0
+    for size in draw(st.lists(st.integers(min_value=2, max_value=10), max_size=10)):
+        piece = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, size)]
+        others = [(u, v) for v in range(size) for u in range(v) if (u, v) not in piece]
+        if others:
+            piece += draw(st.lists(st.sampled_from(others), unique=True, max_size=size))
+        if len(pairs) + len(piece) > m_max:
+            break
+        pairs.extend((u + n, v + n) for u, v in piece)
+        n += size
+    n += draw(st.integers(min_value=0, max_value=5))
+    return Graph.from_edges(n, pairs)
+
+
 class TestGraphInvariants:
     @given(graphs())
     def test_edge_list_round_trip(self, g):
@@ -70,16 +95,6 @@ class TestGraphInvariants:
             parse_edge_list(data)
         except (ParseError, CapError):
             pass
-
-    @given(graphs())
-    def test_degree_sum_is_twice_edge_count(self, g):
-        assert sum(len(s) for s in g.adjacency) == 2 * g.m
-
-    @given(graphs())
-    def test_adjacency_is_symmetric(self, g):
-        for v in range(g.n):
-            for w in g.adjacency[v]:
-                assert v in g.adjacency[w]
 
 
 class TestCensusInvariants:
@@ -134,6 +149,39 @@ class TestCensusInvariants:
         profile = delta_graycode(g)
         assert profile.delta[0] == 0
         assert g.n == 0 or profile.delta[1] == 0
+
+
+class TestMetamorphic:
+    """Census properties that need no oracle, so they reach past its size."""
+
+    @given(connected_unions(), st.integers(min_value=0, max_value=2**32))
+    @example(gen_family("prism", 20), 0)
+    @settings(deadline=None)
+    def test_relabelling_and_edge_order_leave_the_census(self, g, seed):
+        rng = random.Random(seed)
+        label = list(range(g.n))
+        rng.shuffle(label)
+        pairs = [(label[u], label[v]) for u, v in g.edges]
+        pairs = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
+        rng.shuffle(pairs)
+        relabelled = Graph.from_edges(g.n, pairs)
+        assert delta_frontier(relabelled) == delta_frontier(g)
+        assert delta_by_components(relabelled) == delta_by_components(g)
+
+    @given(connected_unions(), st.integers(min_value=0, max_value=6))
+    @example(gen_family("prism", 20), 3)
+    @settings(deadline=None)
+    def test_isolated_vertices_pad_the_census_with_zeros(self, g, t):
+        zeros = (0,) * t
+        for engine in (delta_frontier, delta_by_components):
+            base, padded = engine(g), engine(add_isolated(g, t))
+            assert padded.n == g.n + t
+            assert padded.delta == base.delta + zeros
+            if base.odd_counts is None:
+                assert padded.odd_counts is padded.even_counts is None
+            else:
+                assert padded.odd_counts == base.odd_counts + zeros
+                assert padded.even_counts == base.even_counts + zeros
 
 
 def schoolbook(a, b):
@@ -210,7 +258,7 @@ class TestCoverInvariants:
     @given(graphs(n_min=2, n_max=6), st.data())
     @settings(max_examples=50)
     def test_adding_an_edge_never_adds_covers(self, g, data):
-        existing = {(e.u, e.v) for e in g.edges}
+        existing = set(g.edges)
         missing = [
             (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in existing
         ]

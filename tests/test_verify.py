@@ -38,6 +38,8 @@ def test_records_are_immutable_values(make, field):
     assert a == b and a is not b
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        setattr(a, "extra", 1)
     assert a == b
 
 

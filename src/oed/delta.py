@@ -10,15 +10,17 @@ Four interchangeable engines compute the census:
 
 * ``delta_frontier``  : the default. Counts vertex subsets by a DP along
                         a vertex order with a small frontier, component
-                        by component, and turns them into the census by
-                        Mobius inversion. Returns the full parity split.
+                        by component, one pass per polynomial, and turns
+                        them into the census by Mobius inversion. Returns
+                        the full parity split.
 * ``delta_naive``     : visits every subset independently, recomputing
                         V(F) from scratch each time (the reference
                         enumerator, deliberately unclever).
 * ``delta_graycode``  : visits subsets in Gray-code order, updating
                         per-vertex incidence counts incrementally, so
                         each step costs O(1) amortized.
-* ``delta_by_components``: the same DP, multiplying only the component
+* ``delta_by_components``: the same DP, run only as the pass over
+                        independent sets, multiplying only the component
                         polynomials W(x) = 1 - D(x). Returns delta only.
 
 Both DP engines end with one product of small polynomials, one per
@@ -37,11 +39,11 @@ in-process and serially.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
-from itertools import repeat
-from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, repeat
+from operator import add, mul, neg
 
 from .errors import CapError, EngineDisagreement
 from .graph import Graph
@@ -55,14 +57,7 @@ DP_SECONDS = 60
 DP_BYTES = 512 << 20
 
 
-class _ProfileFields(NamedTuple):
-    n: int
-    odd_counts: tuple[int, ...] | None
-    even_counts: tuple[int, ...] | None
-    delta: tuple[int, ...]
-
-
-class DeltaProfile(_ProfileFields):
+class DeltaProfile(namedtuple("DeltaProfile", "n odd_counts even_counts delta")):
     """Census of a single graph: arrays indexed by vertex count k in [0, n].
 
     ``odd_counts`` and ``even_counts`` are None when the engine that
@@ -91,16 +86,17 @@ class DeltaProfile(_ProfileFields):
         return self
 
 
-class DeltaPolynomial(NamedTuple):
+class DeltaPolynomial(namedtuple("DeltaPolynomial", "coeffs")):
     """Integer polynomial with coefficient k weighting vertex count k.
 
     Used both for D(x) = sum_k delta_k x^k and for its companion
     W(x) = 1 - D(x). W is multiplicative over disjoint unions, which is
     what makes the component engine correct: the vertex sets of edge
     subsets drawn from disjoint parts add, and their parities add.
+    ``coeffs`` is the tuple of coefficients.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     def __mul__(self, other: "DeltaPolynomial") -> "DeltaPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -192,7 +188,7 @@ def _gray_census(g: Graph) -> tuple[list[int], list[int]]:
     return odd, even
 
 
-def _parity_profile(n: int, odd: list[int], even: list[int]) -> DeltaProfile:
+def _parity_profile(n: int, odd: Sequence[int], even: Sequence[int]) -> DeltaProfile:
     delta = tuple(o - e for o, e in zip(odd, even))
     return DeltaProfile(n=n, odd_counts=tuple(odd), even_counts=tuple(even), delta=delta)
 
@@ -226,20 +222,16 @@ def delta_graycode(g: Graph) -> DeltaProfile:
 def delta_by_components(g: Graph) -> DeltaProfile:
     """Census via per-component factorization of W(x) = 1 - D(x).
 
-    The binomial transform of a component's independent-set counts B_t
-    (``_component_sums``) is its W polynomial: W_0 = B_0 = 1, and
-    W_k = E_k - O_k for k >= 1. Only the W product is formed, so only
-    delta is recovered and odd/even counts are marked not computed.
-    Components with equal W_c share one power in ``_product``.
+    Each component runs one pass of ``_vertex_sums``, over its independent
+    sets only; the binomial transform of their counts B_t is its W
+    polynomial: W_0 = B_0 = 1, and W_k = E_k - O_k for k >= 1. Only the W
+    product is formed, so only delta is recovered and odd/even counts are
+    marked not computed. Components with equal W_c share one power in
+    ``_product``.
     """
-    w = _product(
-        DeltaPolynomial(tuple(_binomial_transform(independent)))
-        for _, independent in _component_sums(g)
-    )
-    delta = [0] * (g.n + 1)
-    for k in range(1, len(w.coeffs)):
-        delta[k] = -w.coeffs[k]
-    return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=tuple(delta))
+    w = _product(_transformed(steps, len(steps) + 1, True) for _, steps in _plan(g)).coeffs
+    delta = tuple(chain((0,), map(neg, w[1:]), repeat(0, g.n + 1 - len(w))))
+    return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=delta)
 
 
 def _binomial_transform(c: list[int]) -> list[int]:
@@ -333,13 +325,16 @@ def _plan(g: Graph) -> list[tuple[int, list[tuple[int, int, int]]]]:
 
     Model: a step reading the 2^w states of a w-vertex frontier costs
     2^w * (0.6 us + 8 ns * words) and 2^w * (16 * words + 150) bytes, for
-    packed ints of that many 64-bit words; folding a component into the
-    product over H earlier vertices costs 0.25 us * (H + 1)(h_c + 1).
-    That prices a fold over the components; ``_product`` raises repeated
-    factors to their powers more cheaply, so the term is an upper bound
-    when components repeat. Raises CapError once the running estimate,
-    with only the edges seen so far in the slot, passes DP_SECONDS or a
-    step passes DP_BYTES.
+    packed ints of that many 64-bit words at a slot of h + m + 1 bits. It
+    prices two such ints per state, an upper bound on the two passes of
+    ``_vertex_sums``: the independent-set pass has a slot of h + 1 bits,
+    and its states are only the independent subsets of the frontier.
+    Folding a component into the product over H earlier vertices costs
+    0.25 us * (H + 1)(h_c + 1). That prices a fold over the components;
+    ``_product`` raises repeated factors to their powers more cheaply, so
+    the term is an upper bound when components repeat. Raises CapError
+    once the running estimate, with only the edges seen so far in the
+    slot, passes DP_SECONDS or a step passes DP_BYTES.
     """
     adjacency: dict[int, list[int]] = {}  # the neighbours of each vertex with an edge
     for u, v in g.edges:
@@ -411,62 +406,66 @@ def _plan(g: Graph) -> list[tuple[int, list[tuple[int, int, int]]]]:
     return plan
 
 
-def _component_sums(g: Graph) -> Iterator[tuple[list[int], list[int]]]:
-    """A_t and B_t for t = 0..h_c, for each component of g with an edge.
+def _vertex_sums(steps: list[tuple[int, int, int]], slot: int, independent: bool) -> list[int]:
+    """Sums by size t = 0..h_c over the vertex subsets T of one component.
 
-    A_t sums 2^e(T), and B_t counts independent sets, over the subsets T
-    of size t of the component's h_c vertices, e(T) being the edges inside
-    T. The DP runs along the component's steps of ``_plan``. A state is
-    which frontier vertices are in T; it holds both polynomials, each
-    packed into one int with coefficient t in bits [t*slot, (t+1)*slot).
-    Every coefficient is below C(h_c, t) * 2^m_c < 2^slot, so no carries.
+    Sums 2^e(T) (A_t, e(T) being the edges inside T), or with
+    ``independent`` counts independent sets (B_t). The DP runs along the
+    component's steps of ``_plan``; a state is which frontier vertices are
+    in T, and holds one int with coefficient t in bits [t*slot,
+    (t+1)*slot). A vertex joining T shifts a state by slot plus its c
+    edges to T; for B_t it joins only where c = 0, so the states are the
+    independent subsets of the frontier. No coefficient carries at a slot
+    of h_c + m_c + 1 bits for A_t < C(h_c, t) * 2^m_c, or h_c + 1 for B_t.
     """
-    for m, steps in _plan(g):
-        h = len(steps)
-        slot = h + m + 1
-        states = {0: (1, 1)}
-        for inner, drop, vbit in steps:
-            nxt: dict[int, tuple[int, int]] = {}
-            for mask, (a, b) in states.items():
-                c = (mask & inner).bit_count()
-                out = mask & ~drop
-                for key, da, db in (
-                    (out, a, b),
-                    (out | vbit, a << (slot + c), 0 if c else b << slot),
-                ):
-                    prev = nxt.get(key)
-                    nxt[key] = (da, db) if prev is None else (prev[0] + da, prev[1] + db)
-            states = nxt
-        a, b = states[0]
-        low = (1 << slot) - 1
-        yield (
-            [a >> (t * slot) & low for t in range(h + 1)],
-            [b >> (t * slot) & low for t in range(h + 1)],
-        )
+    states = {0: 1}
+    for inner, drop, vbit in steps:
+        nxt: dict[int, int] = {}
+        for mask, a in states.items():
+            c = mask & inner
+            out = mask & ~drop
+            # get() and a test, not nxt.get(key, 0) + a: adding to 0 copies
+            # a multi-digit int on each first insert.
+            prev = nxt.get(out)
+            nxt[out] = a if prev is None else prev + a
+            if c and independent:
+                continue
+            key = out | vbit
+            a <<= slot + c.bit_count()
+            prev = nxt.get(key)
+            nxt[key] = a if prev is None else prev + a
+        states = nxt
+    total = states[0]
+    low = (1 << slot) - 1
+    return [total >> (t * slot) & low for t in range(len(steps) + 1)]
+
+
+def _transformed(
+    steps: list[tuple[int, int, int]], slot: int, independent: bool
+) -> DeltaPolynomial:
+    """P_c, or W_c with ``independent``: the binomial transform of ``_vertex_sums``."""
+    return DeltaPolynomial(tuple(_binomial_transform(_vertex_sums(steps, slot, independent))))
 
 
 def delta_frontier(g: Graph) -> DeltaProfile:
     """Census from vertex subsets, by a DP over a narrow vertex order.
 
-    Mobius inversion turns a component's A_t (``_component_sums``) into
+    Each component runs two passes of ``_vertex_sums`` along its steps of
+    ``_plan``, one per polynomial. Mobius inversion turns its A_t into
     P_c(x) = sum_t A_t x^t (1-x)^(h_c-t), which counts its edge subsets F,
-    the empty one included, by x^|V(F)|, and B_t into W_c(x) likewise.
+    the empty one included, by x^|V(F)|, and its B_t into W_c(x) likewise.
     Both multiply over components, in ``_product``, which raises a
     repeated factor to its power in one pass. For k >= 1,
     O_k + E_k = P_k and E_k - O_k = W_k: the full parity split,
     identical to delta_graycode's.
     """
-    ps: list[DeltaPolynomial] = []
-    ws: list[DeltaPolynomial] = []
-    for sums, independent in _component_sums(g):
-        ps.append(DeltaPolynomial(tuple(_binomial_transform(sums))))
-        ws.append(DeltaPolynomial(tuple(_binomial_transform(independent))))
-    p, w = _product(ps), _product(ws)
-    odd = [0] * (g.n + 1)
-    even = [0] * (g.n + 1)
-    for k in range(1, len(p.coeffs)):
-        odd[k] = (p.coeffs[k] - w.coeffs[k]) >> 1
-        even[k] = (p.coeffs[k] + w.coeffs[k]) >> 1
+    plan = _plan(g)
+    p = _product(_transformed(steps, len(steps) + m + 1, False) for m, steps in plan).coeffs
+    w = _product(_transformed(steps, len(steps) + 1, True) for _, steps in plan).coeffs
+    # Tuples built in place, which _parity_profile's tuple() does not copy.
+    zeros = g.n + 1 - len(p)
+    odd = tuple(chain((0,), ((x - y) >> 1 for x, y in zip(p[1:], w[1:])), repeat(0, zeros)))
+    even = tuple(chain((0,), ((x + y) >> 1 for x, y in zip(p[1:], w[1:])), repeat(0, zeros)))
     return _parity_profile(g.n, odd, even)
 
 

@@ -8,9 +8,9 @@ bit i of a mask always refers to ``graph.edges[i]``.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Iterable
 from itertools import combinations, product
-from typing import Iterable, NamedTuple
 
 from .errors import CapError, GraphError, ParseError
 
@@ -30,7 +30,7 @@ MAX_TOKEN_CHARS = 32
 _QUOTE_CHARS = 40
 
 
-class Graph(NamedTuple("Graph", [("n", int), ("edges", tuple[tuple[int, int], ...])])):
+class Graph(namedtuple("Graph", "n edges")):
     """Simple undirected graph on vertices 0..n-1.
 
     A graph is the named pair (n, edges): its vertex count and its
@@ -75,7 +75,7 @@ class Graph(NamedTuple("Graph", [("n", int), ("edges", tuple[tuple[int, int], ..
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class IsolatedSplit(NamedTuple):
+class IsolatedSplit(namedtuple("IsolatedSplit", "stripped relabel_map")):
     """A graph with its isolated vertices split off.
 
     ``stripped`` is the graph on the non-isolated vertices, relabeled to
@@ -83,8 +83,7 @@ class IsolatedSplit(NamedTuple):
     missing from ``relabel_map`` is isolated.
     """
 
-    stripped: Graph
-    relabel_map: dict[int, int]
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

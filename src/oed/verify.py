@@ -18,8 +18,8 @@ from __future__ import annotations
 import random
 import sys
 import time
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
 from .covers import (
     VERTEX_CAP,
@@ -51,13 +51,10 @@ EXHAUSTIVE_N_CAP = 5
 BENCH_REPEATS_CAP = 1000
 
 
-class Failure(NamedTuple):
+class Failure(namedtuple("Failure", "graph_text methods expected got")):
     """One broken identity: which graph, which pair of methods, which values."""
 
-    graph_text: str
-    methods: tuple[str, str]
-    expected: str
-    got: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,11 +65,8 @@ class Failure(NamedTuple):
         }
 
 
-class VerificationReport(NamedTuple):
-    trials: int
-    failures: list[Failure]
-    seed: int
-    wall_time: float
+class VerificationReport(namedtuple("VerificationReport", "trials failures seed wall_time")):
+    __slots__ = ()
 
     @property
     def passing(self) -> bool:
@@ -227,12 +221,10 @@ def run_verification(
 # benchmarking
 
 
-class BenchRecord(NamedTuple):
-    engine: str
-    edges: int
-    subsets: int
-    wall_time: float
-    subsets_per_second: float
+class BenchRecord(
+    namedtuple("BenchRecord", "engine edges subsets wall_time subsets_per_second")
+):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {**self._asdict(), "subsets": str(self.subsets)}

@@ -665,6 +665,11 @@ class TestStartup:
         unused = {"argparse", "json", "csv", "gettext", "locale", "random"}
         assert unused.isdisjoint(modules_after_default_commands(k3_file))
 
+    def test_default_commands_load_no_typing_re_or_enum(self, k3_file):
+        # The records are collections.namedtuple subclasses; typing would
+        # pull in re and enum on every cold call.
+        assert {"typing", "re", "enum"}.isdisjoint(modules_after_default_commands(k3_file))
+
 
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):

@@ -30,6 +30,7 @@ from oed import (
     inclusion_exclusion_direct,
     random_graph,
     to_edge_list,
+    vc_count_reduction,
     w_polynomial,
 )
 from oed.cli import main
@@ -266,6 +267,37 @@ class TestRepeatedComponents:
         g = Graph.from_edges(2000, [(u + 5 * c, v + 5 * c) for c in range(400) for u, v in piece])
         delta_by_components(g)
         assert len(calls) <= 10  # a fold over the components takes 400
+
+
+def closed_form_w(h: int, independent: list[int]) -> list[int]:
+    """W_k = sum_t B_t (-1)^(k-t) C(h-t, k-t): the coefficients of sum_t B_t x^t (1-x)^(h-t)."""
+    return [
+        sum(b * (-1) ** (k - t) * comb(h - t, k - t) for t, b in enumerate(independent[: k + 1]))
+        for k in range(h + 1)
+    ]
+
+
+# Graphs of 100 to 499 edges, past every enumeration oracle, whose independence
+# polynomials have closed forms: 1 + n x on K_n, 2(1+x)^s - 1 on K_{s,s} and
+# (1+x)^(n-1) + x on the star on n vertices. The last column is the cover count.
+CLOSED_FORMS = [
+    (gen_family("complete", 19), [1, 19], 20),
+    (gen_family("complete_bipartite", 10), [1] + [2 * comb(10, t) for t in range(1, 11)], 2**11 - 1),
+    (gen_family("star", 500), [comb(499, t) + (t == 1) for t in range(500)], 2**499 + 1),
+]
+
+
+@pytest.mark.parametrize("g,independent,covers", CLOSED_FORMS, ids=["k19", "k10,10", "star500"])
+class TestIndependencePolynomialClosedForms:
+    @pytest.mark.parametrize("engine", [delta_frontier, delta_by_components])
+    def test_delta_is_minus_w(self, g, independent, covers, engine):
+        w = closed_form_w(g.n, independent)
+        assert w[0] == 1
+        assert engine(g).delta == (0, *(-x for x in w[1:]))
+
+    @pytest.mark.parametrize("engine", ["frontier", "components"])
+    def test_cover_count(self, g, independent, covers, engine):
+        assert vc_count_reduction(g, engine) == covers
 
 
 class TestPolynomials:

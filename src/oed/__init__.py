@@ -4,7 +4,6 @@ from .covers import (
     VERTEX_CAP,
     brute_force_vc_count,
     independent_set_count,
-    reduced_count_no_isolated,
     vc_count_reduction,
 )
 from .delta import (

@@ -7,10 +7,12 @@ The count is computed by
 * ``independent_set_count`` : scan counting independent sets, which
   equal covers in number because S covers iff V - S is independent
   (the bijection is asserted in tests, never assumed internally),
-* ``vc_count_reduction``    : strip isolated vertices, run a census
-  engine on the remainder H, and combine
+* ``vc_count_reduction``    : evaluate the census at x = 1/2,
 
-      |covers| = 2^|I| * (2^|V(H)| - sum_{k>=2} delta_k * 2^(|V(H)|-k))
+      |covers| = 2^n - sum_k delta_k * 2^(n-k) = 2^n * W(1/2),
+
+  with W(x) = 1 - D(x) the product of the components' polynomials. An
+  isolated vertex adds no factor to W and one factor of 2 through 2^n.
 
 All arithmetic is integer end to end; counts are exact at any size the
 caps admit. The oracles are deliberately plain subset scans, structurally
@@ -19,9 +21,9 @@ unrelated to the census pipeline they validate.
 
 from __future__ import annotations
 
-from .delta import ENGINES, DeltaProfile
+from .delta import _w_coeffs
 from .errors import CapError
-from .graph import Graph, strip_isolated
+from .graph import Graph
 
 VERTEX_CAP = 28
 
@@ -59,33 +61,12 @@ def independent_set_count(g: Graph) -> int:
     return count
 
 
-def reduced_count_no_isolated(g: Graph, profile: DeltaProfile) -> int:
-    """Cover count of an isolated-free graph from its census.
+def vc_count_reduction(g: Graph) -> int:
+    """Cover count via the census: 2^n * W(1/2), exactly.
 
-    Evaluates 2^n - sum_{k=2}^{n} delta_k * 2^(n-k) exactly. The profile
-    must have been computed from g itself.
+    With w_k the coefficients of W up to its degree h, that is
+    sum_k w_k * 2^(h-k), shifted left by n - h.
     """
-    isolated = g.n - len(g.endpoints())
-    if isolated:
-        raise ValueError(f"graph has isolated vertices ({isolated} of {g.n}); strip them first")
-    if profile.n != g.n or len(profile.delta) != g.n + 1:
-        raise ValueError(
-            f"profile dimension mismatch: profile covers n={profile.n}, graph has n={g.n}"
-        )
-    n = g.n
-    weighted = sum(profile.delta[k] << (n - k) for k in range(2, n + 1))
-    return (1 << n) - weighted
-
-
-def vc_count_reduction(g: Graph, engine: str = "components") -> int:
-    """Cover count via the census pipeline.
-
-    Strips isolated vertices, runs the census engine ``engine`` (an id
-    from ``oed.delta.ENGINES``) on the remainder, and multiplies back the
-    2^|I| factor contributed by the isolated vertices (each can freely be
-    in or out of a cover). The count reads only delta, so the default is
-    ``components``, which forms no parity split.
-    """
-    h = strip_isolated(g).stripped
-    core = reduced_count_no_isolated(h, ENGINES[engine](h))
-    return core << (g.n - h.n)
+    w = _w_coeffs(g)
+    h = len(w) - 1
+    return sum(wk << (h - k) for k, wk in enumerate(w)) << (g.n - h)

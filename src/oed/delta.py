@@ -40,10 +40,10 @@ in-process and serially.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from heapq import heappop, heappush
 from itertools import chain, repeat
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 
 from .errors import CapError, EngineDisagreement
 from .graph import Graph
@@ -127,8 +127,8 @@ def w_polynomial(profile: DeltaProfile) -> DeltaPolynomial:
 
 def _naive_census(g: Graph) -> tuple[list[int], list[int]]:
     """Census of every nonempty subset mask, each evaluated from scratch."""
-    odd = [0] * (g.n + 1)
-    even = [0] * (g.n + 1)
+    odd = [0] * (min(g.n, 2 * g.m) + 1)  # |V(F)| <= 2|F|
+    even = [0] * len(odd)
     emask = {1 << j: (1 << u) | (1 << v) for j, (u, v) in enumerate(g.edges)}
     for mask in range(1, 1 << g.m):
         s = mask
@@ -151,14 +151,16 @@ def _gray_census(g: Graph) -> tuple[list[int], list[int]]:
     and rank i exactly one edge flips (the lowest set bit of i), and the
     subset's edge parity equals the parity of i itself. The state (edge
     mask, per-vertex incidence counts, current |V(F)|) starts at the
-    empty subset of rank 0 and is maintained incrementally.
+    empty subset of rank 0 and is maintained incrementally. Only vertices
+    with an edge have an incidence count.
     """
-    odd = [0] * (g.n + 1)
-    even = [0] * (g.n + 1)
-    inc = [0] * g.n
+    odd = [0] * (min(g.n, 2 * g.m) + 1)  # |V(F)| <= 2|F|
+    even = [0] * len(odd)
+    index = {v: i for i, v in enumerate(g.endpoints())}
+    inc = [0] * len(index)
     cur = 0
     k = 0
-    elow = {1 << j: (u, v) for j, (u, v) in enumerate(g.edges)}
+    elow = {1 << j: (index[u], index[v]) for j, (u, v) in enumerate(g.edges)}
     for i in range(1, 1 << g.m):
         b = i & -i
         u, v = elow[b]
@@ -188,9 +190,19 @@ def _gray_census(g: Graph) -> tuple[list[int], list[int]]:
     return odd, even
 
 
-def _parity_profile(n: int, odd: Sequence[int], even: Sequence[int]) -> DeltaProfile:
-    delta = tuple(o - e for o, e in zip(odd, even))
-    return DeltaProfile(n=n, odd_counts=tuple(odd), even_counts=tuple(even), delta=delta)
+def _parity_profile(n: int, odd: list[int], even: list[int]) -> DeltaProfile:
+    """The profile of the counts for k < len(odd), padded with zeros to k = n.
+
+    Each engine's lists reach only as far as its census can, so the three
+    arrays of n + 1 entries are the only ones built.
+    """
+    pad = n + 1 - len(odd)
+    return DeltaProfile(
+        n=n,
+        odd_counts=tuple(chain(odd, repeat(0, pad))),
+        even_counts=tuple(chain(even, repeat(0, pad))),
+        delta=tuple(chain(map(sub, odd, even), repeat(0, pad))),
+    )
 
 
 def _check_edge_cap(m: int) -> None:
@@ -229,9 +241,21 @@ def delta_by_components(g: Graph) -> DeltaProfile:
     marked not computed. Components with equal W_c share one power in
     ``_product``.
     """
-    w = _product(_transformed(steps, len(steps) + 1, True) for _, steps in _plan(g)).coeffs
+    w = _w_coeffs(g)
     delta = tuple(chain((0,), map(neg, w[1:]), repeat(0, g.n + 1 - len(w))))
     return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=delta)
+
+
+def _w_coeffs(g: Graph) -> tuple[int, ...]:
+    """Coefficients k = 0..h of W(x) = 1 - D(x), h the number of vertices with an edge.
+
+    W is the product of the components' W_c, each from one pass of
+    ``_vertex_sums`` over the component's independent sets, priced at that
+    pass's slot. An isolated vertex adds no factor, so past h every
+    coefficient is 0.
+    """
+    plan = _plan(g, False)
+    return _product(_transformed(steps, len(steps) + 1, True) for _, steps in plan).coeffs
 
 
 def _binomial_transform(c: list[int]) -> list[int]:
@@ -307,7 +331,7 @@ def _product(factors: Iterable[DeltaPolynomial]) -> DeltaPolynomial:
     return out
 
 
-def _plan(g: Graph) -> list[tuple[int, list[tuple[int, int, int]]]]:
+def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """(m_c, steps) for each component with an edge, in the DP's order.
 
     The vertex with the smallest ``growth`` key goes next: the fewest
@@ -323,18 +347,19 @@ def _plan(g: Graph) -> list[tuple[int, list[tuple[int, int, int]]]]:
     neighbours, the bits freed after it, and its own bit (0 if it leaves
     at once).
 
-    Model: a step reading the 2^w states of a w-vertex frontier costs
-    2^w * (0.6 us + 8 ns * words) and 2^w * (16 * words + 150) bytes, for
-    packed ints of that many 64-bit words at a slot of h + m + 1 bits. It
-    prices two such ints per state, an upper bound on the two passes of
-    ``_vertex_sums``: the independent-set pass has a slot of h + 1 bits,
-    and its states are only the independent subsets of the frontier.
-    Folding a component into the product over H earlier vertices costs
-    0.25 us * (H + 1)(h_c + 1). That prices a fold over the components;
-    ``_product`` raises repeated factors to their powers more cheaply, so
-    the term is an upper bound when components repeat. Raises CapError
-    once the running estimate, with only the edges seen so far in the
-    slot, passes DP_SECONDS or a step passes DP_BYTES.
+    Model, per pass of ``_vertex_sums``: a step reading the 2^w states of
+    a w-vertex frontier costs 2^w * (0.6 us + 8 ns * words) and
+    2^w * (16 * words + 150) bytes, for two ints per state of that many
+    64-bit words. The slot is h + m + 1 bits with ``edges``: the A pass,
+    which bounds both passes of ``delta_frontier``. It is h + 1 bits
+    without: the W pass alone, whose states are only the independent
+    subsets of the frontier, so 2^w bounds them. Folding a component into
+    the product over H earlier vertices costs 0.25 us * (H + 1)(h_c + 1).
+    That prices a fold over the components; ``_product`` raises repeated
+    factors to their powers more cheaply, so the term is an upper bound
+    when components repeat. Raises CapError once the running estimate,
+    with only the edges seen so far in the slot, passes DP_SECONDS or a
+    step passes DP_BYTES.
     """
     adjacency: dict[int, list[int]] = {}  # the neighbours of each vertex with an edge
     for u, v in g.edges:
@@ -384,7 +409,7 @@ def _plan(g: Graph) -> list[tuple[int, list[tuple[int, int, int]]]]:
             steps.append((inner, drop, vbit))
             m += inner.bit_count()
             i = len(steps)
-            slot = i + m + 1
+            slot = i + m + 1 if edges else i + 1
             reads += size
             weighted += i * size
             estimate = seconds + 0.6e-6 * reads + 8e-9 * weighted * slot / 64
@@ -459,13 +484,11 @@ def delta_frontier(g: Graph) -> DeltaProfile:
     O_k + E_k = P_k and E_k - O_k = W_k: the full parity split,
     identical to delta_graycode's.
     """
-    plan = _plan(g)
+    plan = _plan(g, True)
     p = _product(_transformed(steps, len(steps) + m + 1, False) for m, steps in plan).coeffs
     w = _product(_transformed(steps, len(steps) + 1, True) for _, steps in plan).coeffs
-    # Tuples built in place, which _parity_profile's tuple() does not copy.
-    zeros = g.n + 1 - len(p)
-    odd = tuple(chain((0,), ((x - y) >> 1 for x, y in zip(p[1:], w[1:])), repeat(0, zeros)))
-    even = tuple(chain((0,), ((x + y) >> 1 for x, y in zip(p[1:], w[1:])), repeat(0, zeros)))
+    odd = [0, *((x - y) >> 1 for x, y in zip(p[1:], w[1:]))]
+    even = [0, *((x + y) >> 1 for x, y in zip(p[1:], w[1:]))]
     return _parity_profile(g.n, odd, even)
 
 

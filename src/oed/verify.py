@@ -3,11 +3,12 @@
 ``run_verification`` checks, per graph, that the four census engines
 agree (the frontier DP on the full parity split), that the census is
 complete (counts sum to 2^m - 1) with signed sum 1, and that the cover
-count comes out identical via the census reduction with every engine,
-the brute-force scan, the independent-set scan, and the direct
-alternating sum. Graphs come from exhaustive enumeration of all
-labeled graphs up to a small n and from seeded random sampling, so a
-report is fully reproducible from (seed, parameters).
+count comes out identical via the census reduction, the census formula
+on the ``gray`` profile, the brute-force scan, the independent-set scan,
+and the direct alternating sum. Each engine runs once per graph. Graphs
+come from exhaustive enumeration of all labeled graphs up to a small n
+and from seeded random sampling, so a report is fully reproducible from
+(seed, parameters).
 
 ``run_bench`` times engines on one input and refuses to report numbers
 unless every engine produced the identical delta array.
@@ -130,23 +131,16 @@ def check_graph(g: Graph, corrupt_profile: bool = False) -> list[Failure]:
     )
     expect("delta_graycode:delta_sum", sum(gray.delta), "signed_identity", 1 if m else 0)
 
-    reduction = vc_count_reduction(g, engine="gray")
-    expect(
-        "reduction[gray]",
-        reduction,
-        "reduction[components]",
-        vc_count_reduction(g, engine="components"),
-    )
+    reduction = vc_count_reduction(g)
+    weighted = sum(gray.delta[k] << (n - k) for k in range(2, n + 1))
+    expect("reduction", reduction, "census_formula[gray]", (1 << n) - weighted)
     if n <= VERTEX_CAP:
         brute = brute_force_vc_count(g)
         independent = independent_set_count(g)
         expect("reduction", reduction, "brute_force", brute)
-        frontier = vc_count_reduction(g, engine="frontier")
-        expect("reduction[frontier]", frontier, "brute_force", brute)
         expect("brute_force", brute, "independent_set", independent)
         if 1 <= m <= IE_EDGE_CAP:
             direct = inclusion_exclusion_direct(g)
-            weighted = sum(gray.delta[k] << (n - k) for k in range(2, n + 1))
             expect("inclusion_exclusion", direct, "delta_weighted_sum", weighted)
             expect("inclusion_exclusion", direct, "non_cover", (1 << n) - brute)
     return failures
@@ -235,12 +229,12 @@ def subsets_visited(g: Graph, engine: str) -> int:
 
     These are census sizes, not subsets visited: only ``naive`` and
     ``gray`` enumerate edge subsets. For ``components`` the size is the
-    sum of 2^m_c - 1 over the components of the DP's plan, so a graph over
-    the DP's work cap raises CapError; ``oed bench`` rates every engine in
-    census subsets per second.
+    sum of 2^m_c - 1 over the components of the DP's plan, priced as the
+    engine's W pass, so a graph the engine refuses raises CapError.
+    ``oed bench`` rates every engine in census subsets per second.
     """
     if engine == "components":
-        return sum((1 << m) - 1 for m, _ in _plan(g))
+        return sum((1 << m) - 1 for m, _ in _plan(g, False))
     return (1 << g.m) - 1
 
 

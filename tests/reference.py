@@ -109,6 +109,12 @@ def reference_non_cover_count(n, edges):
     return 2**n - reference_vc_count(n, edges)
 
 
+def census_cover_count(profile):
+    """Covers read off a census by the paper's identity: 2^n - sum_k delta_k 2^(n-k)."""
+    n = profile.n
+    return 2**n - sum(d * 2 ** (n - k) for k, d in enumerate(profile.delta))
+
+
 ENGINE_NAMES = ["components", "frontier", "gray", "naive"]
 FAMILY_NAMES = ["complete", "complete_bipartite", "cube_q3", "cycle", "path", "prism", "star"]
 

@@ -188,12 +188,12 @@ class TestCount:
         assert payload["isolated"] == 3
         assert payload["count"] == str(3 * 2**3)
 
-    def test_reduction_builds_stripped_graph_once(self, tmp_path, capsys, graph_builds):
+    def test_reduction_builds_only_the_loaded_graph(self, tmp_path, capsys, graph_builds):
         path = tmp_path / "g.txt"
         path.write_text("7 2\n0 1\n2 3\n")
         assert main(["count", "--input", str(path), "--method", "reduction"]) == 0
-        # One build for the loaded graph, one for the isolated-free remainder.
-        assert graph_builds == [7, 4]
+        # 2^n W(1/2) counts the isolated vertices through n: nothing is stripped.
+        assert graph_builds == [7]
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"count": "72", "method": "reduction", "n": 7, "m": 2, "isolated": 3}
 

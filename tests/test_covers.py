@@ -1,22 +1,22 @@
 """Cover counting: oracles, the census reduction, and their agreement."""
 
 import time
+import tracemalloc
 
 import pytest
-from reference import reference_independent_count, reference_vc_count
+from reference import census_cover_count, reference_independent_count, reference_vc_count
 
 from oed import (
+    ENGINES,
+    VERTEX_CAP,
     CapError,
-    DeltaProfile,
     Graph,
     add_isolated,
     brute_force_vc_count,
-    delta_graycode,
     disjoint_union,
     gen_family,
     independent_set_count,
     random_graph,
-    reduced_count_no_isolated,
     vc_count_reduction,
 )
 
@@ -35,6 +35,12 @@ def prism_cover_count(s):
     for _ in range(s):
         power = [[sum(power[i][k] * t[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     return sum(power[i][i] for i in range(3))
+
+
+# K3 plus t isolated vertices for t = 1..5, and a million isolated vertices alone.
+ISOLATED_CASES = [
+    pytest.param(add_isolated(gen_family("complete", 3), t), 4 << t, id=str(t)) for t in range(1, 6)
+] + [pytest.param(Graph(1_000_000, ()), 1 << 1_000_000, id="edgeless1000000")]
 
 
 class TestFrozenCounts:
@@ -85,51 +91,52 @@ class TestOracleRelations:
 
 class TestReducedCount:
     def test_triangle(self, k3):
-        assert reduced_count_no_isolated(k3, delta_graycode(k3)) == 4
-
-    def test_rejects_isolated_vertices(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(ValueError, match="isolated"):
-            reduced_count_no_isolated(g, delta_graycode(g))
-
-    def test_rejects_dimension_mismatch(self, k3, k2):
-        with pytest.raises(ValueError, match="mismatch"):
-            reduced_count_no_isolated(k3, delta_graycode(k2))
+        assert vc_count_reduction(k3) == 4
 
     def test_edgeless_zero_vertex_graph(self):
-        g = Graph.from_edges(0, [])
-        profile = delta_graycode(g)
-        assert reduced_count_no_isolated(g, profile) == 1
+        assert vc_count_reduction(Graph.from_edges(0, [])) == 1
 
 
 class TestReductionPipeline:
     @pytest.mark.parametrize("method", METHODS)
     def test_engine_choice_is_irrelevant(self, method, cube):
-        assert vc_count_reduction(cube, engine=method) == 35
+        # The census formula reads only delta, so each engine's profile
+        # gives the count, the components engine's with O/E left out too.
+        assert census_cover_count(ENGINES[method](cube)) == 35
+        assert vc_count_reduction(cube) == 35
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_brute_force(self, seed):
         g = random_graph(9, 0.35, seed=seed)
         assert vc_count_reduction(g) == brute_force_vc_count(g)
 
-    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
-    def test_isolated_vertices_double_the_count(self, t, k3):
-        g = add_isolated(k3, t)
-        assert vc_count_reduction(g) == 4 << t
-        assert brute_force_vc_count(g) == 4 << t
+    @pytest.mark.parametrize("g,expected", ISOLATED_CASES)
+    def test_isolated_vertices_double_the_count(self, g, expected):
+        # 2^n W(1/2) needs no array of n + 1 entries: the peak of the
+        # million-vertex case is the 125 kB count itself.
+        tracemalloc.start()
+        try:
+            count = vc_count_reduction(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == expected
+        assert peak < 1 << 20
+        if g.n <= VERTEX_CAP:
+            assert brute_force_vc_count(g) == expected
 
     def test_edgeless(self):
         g = Graph.from_edges(4, [])
         assert vc_count_reduction(g) == 16
 
     def test_beyond_oracle_reach(self):
-        # 39 vertices is past the 2^n oracle cap; the component engine
-        # still answers exactly, and covers multiply over components.
+        # 39 vertices is past the 2^n oracle cap; the reduction still
+        # answers exactly, and covers multiply over components.
         g = gen_family("complete", 3)
         for _ in range(12):
             g = disjoint_union(g, gen_family("complete", 3))
         assert g.n == 39
-        assert vc_count_reduction(g, engine="components") == 4**13
+        assert vc_count_reduction(g) == 4**13
 
     @pytest.mark.parametrize(
         "s,expected",
@@ -150,7 +157,6 @@ class TestReductionPipeline:
         # K_{8,8} has 64 edges; a cover holds one whole side: 2^8 + 2^8 - 1.
         g = gen_family("complete_bipartite", 8)
         assert vc_count_reduction(g) == 2**9 - 1
-        assert vc_count_reduction(g, engine="components") == 2**9 - 1
 
     def test_component_reach_three_prisms(self):
         # 90 edges in all, past the enumeration engines' cap; 30 per component.
@@ -158,16 +164,7 @@ class TestReductionPipeline:
         g = disjoint_union(disjoint_union(piece, piece), piece)
         assert g.m == 90
         start = time.perf_counter()
-        count = vc_count_reduction(g, engine="components")
+        count = vc_count_reduction(g)
         elapsed = time.perf_counter() - start
         assert count == prism_cover_count(10) ** 3
         assert elapsed < 1.0, f"3 x prism 10 took {elapsed:.2f}s"
-
-    def test_profile_constant_independent_of_count_presence(self, k3):
-        profile_full = delta_graycode(k3)
-        profile_delta_only = DeltaProfile(
-            n=3, odd_counts=None, even_counts=None, delta=profile_full.delta
-        )
-        assert reduced_count_no_isolated(k3, profile_full) == reduced_count_no_isolated(
-            k3, profile_delta_only
-        )

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 from reference import (
+    census_cover_count,
     complete_graph_census,
     reference_census,
     reference_delta,
@@ -15,6 +16,7 @@ from reference import (
 
 from oed import (
     EDGE_CAP,
+    ENGINES,
     CapError,
     DeltaPolynomial,
     DeltaProfile,
@@ -34,6 +36,7 @@ from oed import (
     w_polynomial,
 )
 from oed.cli import main
+from oed.delta import _plan
 
 ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components, delta_frontier]
 
@@ -187,6 +190,14 @@ class TestCaps:
             with pytest.raises(CapError, match="census DP estimated at"):
                 engine(huge)
 
+    def test_w_pass_priced_at_its_own_slot(self):
+        # prism 1600: the W pass's slot of h + 1 bits fits the caps, the
+        # A pass's slot of h + m + 1 bits does not. Planning alone decides.
+        g = gen_family("prism", 1600)
+        assert [m for m, _ in _plan(g, False)] == [g.m]
+        with pytest.raises(CapError, match="census DP estimated at"):
+            _plan(g, True)
+
     def test_component_cap_is_per_component(self):
         # 64 edges in all, past the enumeration engines' cap, in four
         # components of 16; the component engine must accept it.
@@ -297,7 +308,8 @@ class TestIndependencePolynomialClosedForms:
 
     @pytest.mark.parametrize("engine", ["frontier", "components"])
     def test_cover_count(self, g, independent, covers, engine):
-        assert vc_count_reduction(g, engine) == covers
+        assert census_cover_count(ENGINES[engine](g)) == covers
+        assert vc_count_reduction(g) == covers
 
 
 class TestPolynomials:

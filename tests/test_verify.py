@@ -3,6 +3,7 @@
 import pytest
 
 from oed import (
+    ENGINES,
     VERTEX_CAP,
     BenchRecord,
     DeltaPolynomial,
@@ -18,6 +19,7 @@ from oed import (
     run_verification,
     subsets_visited,
 )
+from oed import verify
 from oed.graph import Graph, disjoint_union
 
 # Each record type with a field of it, built twice from equal fields.
@@ -58,6 +60,29 @@ class TestCheckGraph:
         assert failure.expected != failure.got
         d = failure.to_json_dict()
         assert set(d) == {"graph", "methods", "expected", "got"}
+
+    def test_each_engine_runs_once(self, cube, monkeypatch):
+        # Each engine is counted under its own name and in the engine table.
+        calls = []
+
+        def counted(engine):
+            def run(g):
+                calls.append(engine.__name__)
+                return engine(g)
+
+            return run
+
+        names = sorted(engine.__name__ for engine in ENGINES.values())
+        for key, engine in list(ENGINES.items()):
+            monkeypatch.setitem(ENGINES, key, counted(engine))
+            monkeypatch.setattr(verify, engine.__name__, counted(engine))
+        assert check_graph(cube) == []
+        assert sorted(calls) == names
+
+    def test_wrong_count_is_caught(self, cube, monkeypatch):
+        monkeypatch.setattr(verify, "vc_count_reduction", lambda g: 36)
+        methods = [f.methods for f in check_graph(cube)]
+        assert methods == [("reduction", "census_formula[gray]"), ("reduction", "brute_force")]
 
     def test_edgeless_and_single_vertex(self):
         from oed import Graph

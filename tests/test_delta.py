@@ -20,6 +20,7 @@ from oed import (
     CapError,
     DeltaPolynomial,
     DeltaProfile,
+    EngineDisagreement,
     Graph,
     add_isolated,
     connected_components,
@@ -35,8 +36,9 @@ from oed import (
     vc_count_reduction,
     w_polynomial,
 )
+from oed import delta as delta_module
 from oed.cli import main
-from oed.delta import _plan
+from oed.delta import _divide, _plan, _product
 
 ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components, delta_frontier]
 
@@ -278,6 +280,50 @@ class TestRepeatedComponents:
         g = Graph.from_edges(2000, [(u + 5 * c, v + 5 * c) for c in range(400) for u, v in piece])
         delta_by_components(g)
         assert len(calls) <= 10  # a fold over the components takes 400
+
+
+def triangles(count: int) -> Graph:
+    return Graph.from_edges(
+        3 * count, [e for i in range(0, 3 * count, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
+    )
+
+
+def triangles_w(count: int) -> DeltaPolynomial:
+    """W of ``count`` disjoint triangles: W_K3 = (1-x)^2 (1+2x), raised to the count."""
+    a = [comb(count, j) << j for j in range(count + 1)]  # (1+2x)^count
+    b = [(-1) ** i * comb(2 * count, i) for i in range(2 * count + 1)]  # (1-x)^(2 count)
+    return DeltaPolynomial(
+        tuple(
+            sum(a[j] * b[k - j] for j in range(max(0, k - 2 * count), min(k, count) + 1))
+            for k in range(3 * count + 1)
+        )
+    )
+
+
+class TestPooledPowers:
+    """Closed forms past the enumeration oracles, where ``_product`` pools (1 - x)."""
+
+    def test_disjoint_triangles(self):
+        w = triangles_w(300).coeffs
+        assert delta_by_components(triangles(300)).delta == (0, *(-x for x in w[1:]))
+
+    def test_singleton_folded_onto_a_pooled_power(self):
+        prism = gen_family("prism", 6)
+        g = disjoint_union(triangles(300), prism)
+        w = triangles_w(300) * w_polynomial(delta_graycode(prism))
+        assert delta_by_components(g).delta == (0, *(-x for x in w.coeffs[1:]))
+
+
+class TestProductExactnessChecks:
+    def test_inexact_division_raises(self):
+        with pytest.raises(EngineDisagreement, match="not divisible"):
+            _divide((1, 0, 1), (1, 1))
+
+    def test_fractional_power_coefficient_raises(self, monkeypatch):
+        exact = delta_module._divide
+        monkeypatch.setattr(delta_module, "_divide", lambda q, w: [c + 1 for c in exact(q, w)])
+        with pytest.raises(EngineDisagreement, match="fractional coefficient"):
+            _product([DeltaPolynomial((1, 2))] * 4 + [DeltaPolynomial((1, 3))] * 3)
 
 
 def closed_form_w(h: int, independent: list[int]) -> list[int]:

@@ -214,9 +214,12 @@ def folded(factors):
     return out
 
 
-factors_with_unit_constant = st.lists(
-    st.integers(min_value=-(2**40), max_value=2**40), max_size=5
-).map(lambda tail: DeltaPolynomial((1, *tail)))
+# A factor times (1 - x)^z, z in 0..3, so that ``_product`` pools (1 - x).
+factors_with_unit_constant = st.builds(
+    lambda tail, z: folded([DeltaPolynomial((1, *tail))] + [DeltaPolynomial((1, -1))] * z),
+    st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=5),
+    st.integers(min_value=0, max_value=3),
+)
 
 repeated_factors = st.lists(factors_with_unit_constant, min_size=1, max_size=4).flatmap(
     lambda distinct: st.lists(st.sampled_from(distinct), max_size=40)
@@ -230,6 +233,12 @@ class TestRepeatedProduct:
     @example([DeltaPolynomial((1,))] * 5)
     @example([DeltaPolynomial((1, 2, -1))] * 17)
     @example([DeltaPolynomial((1, 0, -1, 0))] * 6 + [DeltaPolynomial((1, 4))] * 2)
+    @example([DeltaPolynomial((1, -1, -3, 5, -2))] * 5)  # (1 - x)^3 (1 + 2x)
+    @example([DeltaPolynomial((1, -1))] * 7)
+    # (1 - x)^2 (1 + 2x) and (1 - x)^2 (1 - 3x)
+    @example([DeltaPolynomial((1, 0, -3, 2))] * 4 + [DeltaPolynomial((1, -5, 7, -3))] * 3)
+    # (1 - x)^2 (1 + 2x) and (1 - x) (1 + 2x): one quotient for two bases
+    @example([DeltaPolynomial((1, 0, -3, 2))] * 3 + [DeltaPolynomial((1, 1, -2))] * 4)
     @settings(deadline=None)
     def test_product_is_the_fold(self, factors):
         product = _product(factors)

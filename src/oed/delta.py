@@ -23,15 +23,16 @@ Four interchangeable engines compute the census:
                         independent sets, multiplying only the component
                         polynomials W(x) = 1 - D(x). Returns delta only.
 
-Both DP engines end with one product of small polynomials, one per
-component (``_product``). Components often repeat a polynomial: W_c
-depends only on the component's independent-set counts, and a perfect
-matching has a single factor. A factor that repeats is raised to its
-power by a recurrence in one pass instead of being multiplied in once
-per component. The repeated factors first give up their factors
-(1 - x) into one pooled power, which roughly halves the recurrence's
-work on repeated W_c; a factor that occurs once or twice is folded in
-as it is.
+Both DP engines compute each polynomial by ``_census``: one pass of
+``_vertex_sums`` per component, its binomial transform, and one product
+of these small polynomials (``_product``). Components often repeat a
+polynomial: W_c depends only on the component's independent-set counts,
+and a perfect matching has a single factor. A factor that repeats is
+raised to its power by a recurrence in one pass instead of being
+multiplied in once per component. The repeated factors first give up
+their factors (1 - x) into one pooled power, which roughly halves the
+recurrence's work on repeated W_c; a factor that occurs once or twice is
+folded in as it is.
 
 The enumeration engines refuse more than EDGE_CAP edges. The DP's cost
 grows with the frontier width, not with 2^m; it is estimated before the
@@ -253,12 +254,11 @@ def _w_coeffs(g: Graph) -> tuple[int, ...]:
     """Coefficients k = 0..h of W(x) = 1 - D(x), h the number of vertices with an edge.
 
     W is the product of the components' W_c, each from one pass of
-    ``_vertex_sums`` over the component's independent sets, priced at that
-    pass's slot. An isolated vertex adds no factor, so past h every
-    coefficient is 0.
+    ``_vertex_sums`` over the component's independent sets, planned and
+    priced for that pass alone. An isolated vertex adds no factor, so past
+    h every coefficient is 0.
     """
-    plan = _plan(g, False)
-    return _product(_transformed(steps, len(steps) + 1, True) for _, steps in plan).coeffs
+    return _census(_plan(g, False), False)
 
 
 def _binomial_transform(c: list[int]) -> list[int]:
@@ -273,22 +273,6 @@ def _binomial_transform(c: list[int]) -> list[int]:
     return r
 
 
-def _divide(q: tuple[int, ...], w: tuple[int, ...]) -> list[int]:
-    """The exact quotient q / w, for w with constant term 1.
-
-    Expands the series q / w as far as q reaches; the division is exact
-    when the terms past the quotient's degree all vanish.
-    """
-    tail = w[1:]
-    c: list[int] = []
-    for qk in q:
-        c.append(qk - sum(map(mul, tail, reversed(c))))
-    size = len(q) - len(w) + 1
-    if any(c[size:]):
-        raise EngineDisagreement("a product of component polynomials is not divisible by its factor")
-    return c[:size]
-
-
 def _product(factors: Iterable[DeltaPolynomial]) -> DeltaPolynomial:
     """The product of the factors, each with constant term 1.
 
@@ -300,8 +284,11 @@ def _product(factors: Iterable[DeltaPolynomial]) -> DeltaPolynomial:
     distinct bases left, with exponents e_j, Q = prod W_j and
     R = sum e_j W_j' (Q / W_j). Their product F = prod W_j^e_j satisfies
     Q F' = R F (J. C. P. Miller's recurrence for a power series, Knuth,
-    TAOCP Vol. 2, 4.7, taken over several bases), so with Q(0) = 1 each
-    coefficient follows from those before it by one sum:
+    TAOCP Vol. 2, 4.7, taken over several bases). Q and R are built
+    together, as each base joins, by the product rule: from Q = 1 and
+    R = 0, R <- R W_j + e_j W_j' Q and then Q <- Q W_j, so no division is
+    needed. With Q(0) = 1 each coefficient of F follows from those before
+    it by one sum:
 
         k f_k = sum_(i>=1) (u_i - k q_i) f_(k-i),   u_i = i q_i + r_(i-1).
 
@@ -313,8 +300,9 @@ def _product(factors: Iterable[DeltaPolynomial]) -> DeltaPolynomial:
     3000-vertex path, W's transform took 0.43 s, and the stripped
     transform plus its fold onto (1 - x)^1500 0.13 + 3.9 s). The threshold
     3 is measured, not tuned per call: 3, 4 and 6 ran alike on repeated
-    W_c, and 2 made products of mostly distinct P_c slower. A division
-    that must be exact and is not raises EngineDisagreement.
+    W_c, and 2 made products of mostly distinct P_c slower. A sum that
+    k does not divide, which a factor whose constant term is not 1 gives,
+    raises EngineDisagreement.
     """
     counts = Counter(factors)
     repeated: Counter[DeltaPolynomial] = Counter()
@@ -329,16 +317,13 @@ def _product(factors: Iterable[DeltaPolynomial]) -> DeltaPolynomial:
                 repeated[DeltaPolynomial(c)] += e
     if z:
         repeated[DeltaPolynomial((1, -1))] = z
-    q = DeltaPolynomial((1,))
-    for w in repeated:
-        q = q * w
-    r = [0] * (len(q.coeffs) - 1)
+    q, r = DeltaPolynomial((1,)), DeltaPolynomial(())
     for w, e in repeated.items():
         slope = DeltaPolynomial(tuple(i * e * c for i, c in enumerate(w.coeffs) if i))
-        term = slope * DeltaPolynomial(tuple(_divide(q.coeffs, w.coeffs)))
-        r[:] = map(add, r, term.coeffs)
+        r = DeltaPolynomial(tuple(map(add, (r * w).coeffs, (slope * q).coeffs)))
+        q = q * w
     q_tail = q.coeffs[1:]
-    u = [i * qi + ri for i, (qi, ri) in enumerate(zip(q_tail, r), 1)]
+    u = [i * qi + ri for i, (qi, ri) in enumerate(zip(q_tail, r.coeffs), 1)]
     f = [1]
     for k in range(1, 1 + sum(e * (len(w.coeffs) - 1) for w, e in repeated.items())):
         fk, rest = divmod(sum(map(mul, map(sub, u, map(mul, q_tail, repeat(k))), reversed(f))), k)
@@ -372,7 +357,11 @@ def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]
     Model, per pass of ``_vertex_sums``: a step reading the 2^w states of
     a w-vertex frontier costs 2^w * (0.6 us + 8 ns * words) and
     2^w * (16 * words + 150) bytes, for two ints per state of that many
-    64-bit words. The slot is h + m + 1 bits with ``edges``: the A pass,
+    64-bit words. ``_vertex_sums`` holds one int per state, so the byte
+    term reads about twice the measured peak where the state table
+    dominates, as on complete graphs; it is left as it is because it
+    decides which graphs are refused. The slot is that of ``_vertex_sums``
+    for the same ``edges``: h + m + 1 bits with ``edges``, the A pass,
     which bounds both passes of ``delta_frontier``. It is h + 1 bits
     without: the W pass alone, whose states are only the independent
     subsets of the frontier, so 2^w bounds them. Folding a component into
@@ -453,18 +442,20 @@ def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]
     return plan
 
 
-def _vertex_sums(steps: list[tuple[int, int, int]], slot: int, independent: bool) -> list[int]:
+def _vertex_sums(steps: list[tuple[int, int, int]], m: int, edges: bool) -> list[int]:
     """Sums by size t = 0..h_c over the vertex subsets T of one component.
 
-    Sums 2^e(T) (A_t, e(T) being the edges inside T), or with
-    ``independent`` counts independent sets (B_t). The DP runs along the
+    With ``edges`` sums 2^e(T) (A_t, e(T) being the edges inside T), and
+    without counts independent sets (B_t). The DP runs along the
     component's steps of ``_plan``; a state is which frontier vertices are
     in T, and holds one int with coefficient t in bits [t*slot,
     (t+1)*slot). A vertex joining T shifts a state by slot plus its c
     edges to T; for B_t it joins only where c = 0, so the states are the
-    independent subsets of the frontier. No coefficient carries at a slot
-    of h_c + m_c + 1 bits for A_t < C(h_c, t) * 2^m_c, or h_c + 1 for B_t.
+    independent subsets of the frontier. The slot is h_c + m_c + 1 bits
+    with ``edges``, for A_t < C(h_c, t) * 2^m_c, and h_c + 1 without, so
+    no coefficient carries.
     """
+    slot = len(steps) + 1 + (m if edges else 0)
     states = {0: 1}
     for inner, drop, vbit in steps:
         nxt: dict[int, int] = {}
@@ -475,7 +466,7 @@ def _vertex_sums(steps: list[tuple[int, int, int]], slot: int, independent: bool
             # a multi-digit int on each first insert.
             prev = nxt.get(out)
             nxt[out] = a if prev is None else prev + a
-            if c and independent:
+            if c and not edges:
                 continue
             key = out | vbit
             a <<= slot + c.bit_count()
@@ -487,11 +478,15 @@ def _vertex_sums(steps: list[tuple[int, int, int]], slot: int, independent: bool
     return [total >> (t * slot) & low for t in range(len(steps) + 1)]
 
 
-def _transformed(
-    steps: list[tuple[int, int, int]], slot: int, independent: bool
-) -> DeltaPolynomial:
-    """P_c, or W_c with ``independent``: the binomial transform of ``_vertex_sums``."""
-    return DeltaPolynomial(tuple(_binomial_transform(_vertex_sums(steps, slot, independent))))
+def _census(plan: list[tuple[int, list[tuple[int, int, int]]]], edges: bool) -> tuple[int, ...]:
+    """Coefficients of prod P_c over the plan's components, or of prod W_c without ``edges``.
+
+    Each factor is the binomial transform of its component's ``_vertex_sums``.
+    """
+    return _product(
+        DeltaPolynomial(tuple(_binomial_transform(_vertex_sums(steps, m, edges))))
+        for m, steps in plan
+    ).coeffs
 
 
 def delta_frontier(g: Graph) -> DeltaProfile:
@@ -507,8 +502,8 @@ def delta_frontier(g: Graph) -> DeltaProfile:
     identical to delta_graycode's.
     """
     plan = _plan(g, True)
-    p = _product(_transformed(steps, len(steps) + m + 1, False) for m, steps in plan).coeffs
-    w = _product(_transformed(steps, len(steps) + 1, True) for _, steps in plan).coeffs
+    p = _census(plan, True)
+    w = _census(plan, False)
     odd = [0, *((x - y) >> 1 for x, y in zip(p[1:], w[1:]))]
     even = [0, *((x + y) >> 1 for x, y in zip(p[1:], w[1:]))]
     return _parity_profile(g.n, odd, even)

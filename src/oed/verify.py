@@ -31,7 +31,6 @@ from .covers import (
 from .delta import (
     ENGINES,
     IE_EDGE_CAP,
-    DeltaProfile,
     delta_by_components,
     delta_frontier,
     delta_graycode,
@@ -78,20 +77,8 @@ class VerificationReport(namedtuple("VerificationReport", "trials failures seed 
         return {**self._asdict(), "failures": failures, "passing": self.passing}
 
 
-def _corrupted(profile: DeltaProfile) -> DeltaProfile:
-    """Deliberately wrong copy of a profile (harness self-test hook)."""
-    delta = list(profile.delta)
-    delta[2] += 1
-    return DeltaProfile(n=profile.n, odd_counts=None, even_counts=None, delta=tuple(delta))
-
-
-def check_graph(g: Graph, corrupt_profile: bool = False) -> list[Failure]:
-    """Run every applicable identity on one graph; return the violations.
-
-    With ``corrupt_profile`` the component-engine profile is perturbed
-    before comparison, which must surface as exactly one failure (the
-    harness proving it can see a lie).
-    """
+def check_graph(g: Graph) -> list[Failure]:
+    """Run every applicable identity on one graph; return the violations."""
     failures: list[Failure] = []
     text = to_edge_list(g)
 
@@ -109,8 +96,6 @@ def check_graph(g: Graph, corrupt_profile: bool = False) -> list[Failure]:
     n, m = g.n, g.m
     gray = delta_graycode(g)
     comp = delta_by_components(g)
-    if corrupt_profile:
-        comp = _corrupted(comp)
 
     if m <= NAIVE_CHECK_CAP:
         naive = delta_naive(g)
@@ -171,16 +156,13 @@ def run_verification(
     m_max: int = 0,
     trials: int = 0,
     seed: int = 0,
-    _corrupt_graph_index: int | None = None,
 ) -> VerificationReport:
     """Exhaustive plus randomized identity checking; see module docstring.
 
     ``exhaustive_n >= 1`` checks every labeled graph on at most that many
     vertices (0 skips the exhaustive stage entirely); ``trials`` then adds
     seeded random graphs on at most ``n_max <= VERTEX_CAP`` vertices, the
-    reach of the cover oracles. ``_corrupt_graph_index`` perturbs the
-    profile of the graph at that position in the run (test hook; not
-    exposed on the command line).
+    reach of the cover oracles.
     """
     if exhaustive_n < 0 or exhaustive_n > EXHAUSTIVE_N_CAP:
         raise ValueError(
@@ -200,12 +182,12 @@ def run_verification(
     if exhaustive_n > 0:
         for n in range(exhaustive_n + 1):
             for g in all_labeled_graphs(n):
-                failures.extend(check_graph(g, corrupt_profile=checked == _corrupt_graph_index))
+                failures.extend(check_graph(g))
                 checked += 1
     rng = random.Random(seed)
     for _ in range(trials):
         g = _draw_trial_graph(rng, n_max, m_max)
-        failures.extend(check_graph(g, corrupt_profile=checked == _corrupt_graph_index))
+        failures.extend(check_graph(g))
         checked += 1
     wall = time.perf_counter() - start
     return VerificationReport(trials=checked, failures=failures, seed=seed, wall_time=wall)

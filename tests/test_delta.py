@@ -36,9 +36,8 @@ from oed import (
     vc_count_reduction,
     w_polynomial,
 )
-from oed import delta as delta_module
 from oed.cli import main
-from oed.delta import _divide, _plan, _product
+from oed.delta import _plan, _product
 
 ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components, delta_frontier]
 
@@ -300,12 +299,38 @@ def triangles_w(count: int) -> DeltaPolynomial:
     )
 
 
+def trinomial_power(count: int, a: int, b: int) -> DeltaPolynomial:
+    """(1 + a x + b x^2)^count, by the multinomial theorem."""
+    coeffs = [0] * (2 * count + 1)
+    for i in range(count + 1):
+        for j in range(count - i + 1):
+            coeffs[i + 2 * j] += comb(count, i) * comb(count - i, j) * a**i * b**j
+    return DeltaPolynomial(tuple(coeffs))
+
+
 class TestPooledPowers:
     """Closed forms past the enumeration oracles, where ``_product`` pools (1 - x)."""
 
     def test_disjoint_triangles(self):
         w = triangles_w(300).coeffs
         assert delta_by_components(triangles(300)).delta == (0, *(-x for x in w[1:]))
+
+    def test_three_repeated_bases_and_a_pooled_power(self):
+        # W_K3 = (1-x)^2 (1+2x), W_C4 = (1-x)^2 (1+2x-x^2), W_P3 = (1-x)(1+x-x^2).
+        count = 200
+        pieces = [[(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 1), (1, 2)]]
+        edges, base = [], 0
+        for piece in pieces:
+            size = 1 + max(v for e in piece for v in e)
+            for _ in range(count):
+                edges += [(u + base, v + base) for u, v in piece]
+                base += size
+        g = Graph.from_edges(base, edges)
+        w = DeltaPolynomial(tuple((-1) ** i * comb(5 * count, i) for i in range(5 * count + 1)))
+        w = w * DeltaPolynomial(tuple(comb(count, j) << j for j in range(count + 1)))
+        w = w * trinomial_power(count, 2, -1) * trinomial_power(count, 1, -1)
+        assert len(w.coeffs) == g.n + 1
+        assert delta_by_components(g).delta == (0, *(-x for x in w.coeffs[1:]))
 
     def test_singleton_folded_onto_a_pooled_power(self):
         prism = gen_family("prism", 6)
@@ -315,15 +340,11 @@ class TestPooledPowers:
 
 
 class TestProductExactnessChecks:
-    def test_inexact_division_raises(self):
-        with pytest.raises(EngineDisagreement, match="not divisible"):
-            _divide((1, 0, 1), (1, 1))
-
-    def test_fractional_power_coefficient_raises(self, monkeypatch):
-        exact = delta_module._divide
-        monkeypatch.setattr(delta_module, "_divide", lambda q, w: [c + 1 for c in exact(q, w)])
+    def test_fractional_power_coefficient_raises(self):
+        # A repeated base whose constant term is not 1 breaks the recurrence's
+        # division by k.
         with pytest.raises(EngineDisagreement, match="fractional coefficient"):
-            _product([DeltaPolynomial((1, 2))] * 4 + [DeltaPolynomial((1, 3))] * 3)
+            _product([DeltaPolynomial((1, 2))] * 4 + [DeltaPolynomial((3, 1))] * 3)
 
 
 def closed_form_w(h: int, independent: list[int]) -> list[int]:

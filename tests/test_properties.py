@@ -239,6 +239,14 @@ class TestRepeatedProduct:
     @example([DeltaPolynomial((1, 0, -3, 2))] * 4 + [DeltaPolynomial((1, -5, 7, -3))] * 3)
     # (1 - x)^2 (1 + 2x) and (1 - x) (1 + 2x): one quotient for two bases
     @example([DeltaPolynomial((1, 0, -3, 2))] * 3 + [DeltaPolynomial((1, 1, -2))] * 4)
+    # three repeated bases, one of them (1 - x)^2 (1 + 2x), a factor once and one twice
+    @example(
+        [DeltaPolynomial((1, 2))] * 3
+        + [DeltaPolynomial((1, 1, -1))] * 4
+        + [DeltaPolynomial((1, 0, -3, 2))] * 5
+        + [DeltaPolynomial((1, -3))]
+        + [DeltaPolynomial((1, 4, 1))] * 2
+    )
     @settings(deadline=None)
     def test_product_is_the_fold(self, factors):
         product = _product(factors)

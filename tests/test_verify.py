@@ -1,5 +1,7 @@
 """The cross-check harness itself: it must pass honest runs and catch lies."""
 
+from itertools import count
+
 import pytest
 
 from oed import (
@@ -14,6 +16,7 @@ from oed import (
     VerificationReport,
     all_labeled_graphs,
     check_graph,
+    delta_by_components,
     gen_family,
     run_bench,
     run_verification,
@@ -45,17 +48,34 @@ def test_records_are_immutable_values(make, field):
     assert a == b
 
 
+def corrupt_components(monkeypatch, call=0):
+    """Make the harness's component engine lie on its ``call``-th call (from 0): delta_2 + 1."""
+    calls = count()
+
+    def lying(g):
+        profile = delta_by_components(g)
+        if next(calls) != call:
+            return profile
+        delta = list(profile.delta)
+        delta[2] += 1
+        return profile._replace(delta=tuple(delta))
+
+    monkeypatch.setattr(verify, "delta_by_components", lying)
+
+
 class TestCheckGraph:
     def test_clean_graph_has_no_failures(self, cube):
         assert check_graph(cube) == []
 
-    def test_corrupt_profile_is_caught(self, k3):
-        failures = check_graph(k3, corrupt_profile=True)
+    def test_corrupt_profile_is_caught(self, k3, monkeypatch):
+        corrupt_components(monkeypatch)
+        failures = check_graph(k3)
         assert len(failures) == 1
         assert failures[0].methods == ("delta_graycode", "delta_by_components")
 
-    def test_failure_records_the_graph_and_values(self, k3):
-        failure = check_graph(k3, corrupt_profile=True)[0]
+    def test_failure_records_the_graph_and_values(self, k3, monkeypatch):
+        corrupt_components(monkeypatch)
+        failure = check_graph(k3)[0]
         assert failure.graph_text == "3 3\n0 1\n0 2\n1 2\n"
         assert failure.expected != failure.got
         d = failure.to_json_dict()
@@ -113,11 +133,13 @@ class TestRunVerification:
         assert a.passing and b.passing
         assert a.trials == b.trials == 5
 
-    def test_corrupt_hook_fails_exactly_one_graph(self):
-        report = run_verification(exhaustive_n=2, _corrupt_graph_index=3)
+    def test_corrupt_hook_fails_exactly_one_graph(self, monkeypatch):
+        corrupt_components(monkeypatch, call=3)
+        report = run_verification(exhaustive_n=2)
         assert not report.passing
         assert len(report.failures) == 1
         assert report.failures[0].methods == ("delta_graycode", "delta_by_components")
+        assert report.failures[0].graph_text == "2 1\n0 1\n"
 
     def test_exhaustive_n_rejected_above_cap(self):
         with pytest.raises(ValueError, match="exhaustive_n"):

@@ -24,13 +24,14 @@ Four interchangeable engines compute the census:
                         polynomials W(x) = 1 - D(x). Returns delta only.
 
 Both DP engines compute each polynomial by ``_census``: one pass of
-``_vertex_sums`` per component, its binomial transform, and one product
-of these small polynomials (``_product``). Components often repeat a
-polynomial: W_c depends only on the component's independent-set counts,
-and a perfect matching has a single factor. A factor that repeats is
-raised to its power by a recurrence in one pass instead of being
-multiplied in once per component. The repeated factors first give up
-their factors (1 - x) into one pooled power, which roughly halves the
+``_vertex_sums`` per component, and one product (``_product``) of the
+binomial transforms of these counts. Components often repeat their
+counts: W_c depends only on the component's independent-set counts, and
+a perfect matching has a single factor. Each distinct count vector is
+transformed once, and a factor that repeats is raised to its power by a
+recurrence in one pass instead of being multiplied in once per
+component. The trailing zeros of repeated counts are factors (1 - x) of
+their polynomials, and pool into one power, which roughly halves the
 recurrence's work on repeated W_c; a factor that occurs once or twice is
 folded in as it is.
 
@@ -44,9 +45,8 @@ in-process and serially.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterable
 from heapq import heappop, heappush
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import add, mul, neg, sub
 
 from .errors import CapError, EngineDisagreement
@@ -242,8 +242,8 @@ def delta_by_components(g: Graph) -> DeltaProfile:
     sets only; the binomial transform of their counts B_t is its W
     polynomial: W_0 = B_0 = 1, and W_k = E_k - O_k for k >= 1. Only the W
     product is formed, so only delta is recovered and odd/even counts are
-    marked not computed. Components with equal W_c share one power in
-    ``_product``.
+    marked not computed. Components with equal counts share one
+    transform and one power in ``_product``.
     """
     w = _w_coeffs(g)
     delta = tuple(chain((0,), map(neg, w[1:]), repeat(0, g.n + 1 - len(w))))
@@ -261,7 +261,7 @@ def _w_coeffs(g: Graph) -> tuple[int, ...]:
     return _census(_plan(g, False), False)
 
 
-def _binomial_transform(c: list[int]) -> list[int]:
+def _binomial_transform(c: tuple[int, ...]) -> DeltaPolynomial:
     """Coefficients of sum_t c_t x^t (1-x)^(h-t), h = len(c) - 1.
 
     Coefficient k is sum_t (-1)^(k-t) C(h-t, k-t) c_t; built by Horner's
@@ -270,69 +270,69 @@ def _binomial_transform(c: list[int]) -> list[int]:
     r: list[int] = []
     for ct in c:
         r = [x - y for x, y in zip(r + [ct], [0] + r)]
-    return r
+    return DeltaPolynomial(tuple(r))
 
 
-def _product(factors: Iterable[DeltaPolynomial]) -> DeltaPolynomial:
-    """The product of the factors, each with constant term 1.
+def _product(groups: Counter[tuple[int, ...]]) -> DeltaPolynomial:
+    """The product of W = sum_t c_t x^t (1-x)^(h-t), h = len(c) - 1, over ``groups``.
 
-    Equal factors are grouped. A factor that occurs e >= 3 times first
-    gives up each (1 - x) that divides it, by a prefix sum, and those
-    powers pool into one base (1 - x). Every W_c is divisible by
-    (1 - x)^(h_c - alpha_c), alpha_c the component's independence number,
-    since its independent-set counts vanish past alpha_c. Let W_j be the
-    distinct bases left, with exponents e_j, Q = prod W_j and
-    R = sum e_j W_j' (Q / W_j). Their product F = prod W_j^e_j satisfies
-    Q F' = R F (J. C. P. Miller's recurrence for a power series, Knuth,
-    TAOCP Vol. 2, 4.7, taken over several bases). Q and R are built
-    together, as each base joins, by the product rule: from Q = 1 and
-    R = 0, R <- R W_j + e_j W_j' Q and then Q <- Q W_j, so no division is
-    needed. With Q(0) = 1 each coefficient of F follows from those before
-    it by one sum:
+    Each key c is a component's ``_vertex_sums`` (c_0 = 1, so W(0) = 1),
+    its value the number of components that share it; equal counts are
+    equal factors, so each is transformed once. A vector with z trailing
+    zeros gives (1 - x)^z times the transform of the rest, whose value at
+    x = 1 is the rest's last count, so no (1 - x) is left: for a W_c,
+    z = h_c - alpha_c, alpha_c the independence number. A vector that
+    occurs e >= 3 times is transformed without its trailing zeros, and e z
+    goes into one pooled power of (1 - x). Let W_j be the distinct bases
+    with exponents e_j, Q = prod W_j and R = sum e_j W_j' (Q / W_j). Their
+    product F = prod W_j^e_j satisfies Q F' = R F (J. C. P. Miller's
+    recurrence for a power series, Knuth, TAOCP Vol. 2, 4.7, taken over
+    several bases). Q and R are built together, as each base joins, by the
+    product rule: from Q = 1 and R = 0, R <- R W_j + e_j W_j' Q and then
+    Q <- Q W_j, so no division is needed. With Q(0) = 1 each coefficient
+    of F follows from those before it by one sum:
 
         k f_k = sum_(i>=1) (u_i - k q_i) f_(k-i),   u_i = i q_i + r_(i-1).
 
     Building F takes about deg Q * deg F big-integer products, where a
     fold takes sum_j e_j deg W_j passes over it; pooling (1 - x) about
-    halves deg Q on repeated W_c. The other factors are folded onto F
-    with ``DeltaPolynomial.__mul__`` unstripped: stripping a factor that
-    occurs once trades a cheap transform for a long fold (on a
-    3000-vertex path, W's transform took 0.43 s, and the stripped
+    halves deg Q on repeated W_c. The other factors are transformed in
+    full and folded onto F with ``DeltaPolynomial.__mul__``: stripping a
+    factor that occurs once trades a cheap transform for a long fold (on
+    a 3000-vertex path, W's transform took 0.43 s, and the stripped
     transform plus its fold onto (1 - x)^1500 0.13 + 3.9 s). The threshold
     3 is measured, not tuned per call: 3, 4 and 6 ran alike on repeated
     W_c, and 2 made products of mostly distinct P_c slower. A sum that
-    k does not divide, which a factor whose constant term is not 1 gives,
+    k does not divide, which a repeated vector with c_0 != 1 gives,
     raises EngineDisagreement.
     """
-    counts = Counter(factors)
-    repeated: Counter[DeltaPolynomial] = Counter()
+    bases: Counter[tuple[int, ...]] = Counter()  # repeated counts without their trailing zeros
     z = 0  # the pooled power of (1 - x)
-    for w, e in counts.items():
+    for c, e in groups.items():
         if e >= 3:
-            c = w.coeffs
-            while len(c) > 1 and not sum(c):
-                c = tuple(accumulate(c[:-1]))
-                z += e
-            if len(c) > 1:
-                repeated[DeltaPolynomial(c)] += e
+            last = max(t for t, ct in enumerate(c) if ct)
+            bases[c[: last + 1]] += e
+            z += e * (len(c) - 1 - last)
+    repeated = [(_binomial_transform(c), e) for c, e in bases.items() if len(c) > 1]
     if z:
-        repeated[DeltaPolynomial((1, -1))] = z
+        repeated.append((DeltaPolynomial((1, -1)), z))
     q, r = DeltaPolynomial((1,)), DeltaPolynomial(())
-    for w, e in repeated.items():
+    for w, e in repeated:
         slope = DeltaPolynomial(tuple(i * e * c for i, c in enumerate(w.coeffs) if i))
         r = DeltaPolynomial(tuple(map(add, (r * w).coeffs, (slope * q).coeffs)))
         q = q * w
     q_tail = q.coeffs[1:]
     u = [i * qi + ri for i, (qi, ri) in enumerate(zip(q_tail, r.coeffs), 1)]
     f = [1]
-    for k in range(1, 1 + sum(e * (len(w.coeffs) - 1) for w, e in repeated.items())):
+    for k in range(1, 1 + sum(e * (len(w.coeffs) - 1) for w, e in repeated)):
         fk, rest = divmod(sum(map(mul, map(sub, u, map(mul, q_tail, repeat(k))), reversed(f))), k)
         if rest:
             raise EngineDisagreement("a power of component polynomials has a fractional coefficient")
         f.append(fk)
     out = DeltaPolynomial(tuple(f))
-    for w, e in counts.items():
+    for c, e in groups.items():
         if e < 3:
+            w = _binomial_transform(c)
             for _ in range(e):
                 out = out * w
     return out
@@ -442,7 +442,7 @@ def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]
     return plan
 
 
-def _vertex_sums(steps: list[tuple[int, int, int]], m: int, edges: bool) -> list[int]:
+def _vertex_sums(steps: list[tuple[int, int, int]], m: int, edges: bool) -> tuple[int, ...]:
     """Sums by size t = 0..h_c over the vertex subsets T of one component.
 
     With ``edges`` sums 2^e(T) (A_t, e(T) being the edges inside T), and
@@ -475,18 +475,16 @@ def _vertex_sums(steps: list[tuple[int, int, int]], m: int, edges: bool) -> list
         states = nxt
     total = states[0]
     low = (1 << slot) - 1
-    return [total >> (t * slot) & low for t in range(len(steps) + 1)]
+    return tuple(total >> (t * slot) & low for t in range(len(steps) + 1))
 
 
 def _census(plan: list[tuple[int, list[tuple[int, int, int]]]], edges: bool) -> tuple[int, ...]:
     """Coefficients of prod P_c over the plan's components, or of prod W_c without ``edges``.
 
-    Each factor is the binomial transform of its component's ``_vertex_sums``.
+    The components' ``_vertex_sums`` go to ``_product`` grouped, equal
+    counts being equal factors, and each group is transformed there once.
     """
-    return _product(
-        DeltaPolynomial(tuple(_binomial_transform(_vertex_sums(steps, m, edges))))
-        for m, steps in plan
-    ).coeffs
+    return _product(Counter(_vertex_sums(steps, m, edges) for m, steps in plan)).coeffs
 
 
 def delta_frontier(g: Graph) -> DeltaProfile:

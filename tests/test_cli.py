@@ -745,6 +745,8 @@ class TestEntryPoints:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
+            # A shell that ignores SIGINT would pass SIG_IGN on to the child.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         )
         time.sleep(1.0)  # past start-up, into the sweep
         proc.send_signal(signal.SIGINT)

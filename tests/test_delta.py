@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from reference import (
     reference_non_cover_count,
 )
 
+import oed.delta
 from oed import (
     EDGE_CAP,
     ENGINES,
@@ -37,7 +39,7 @@ from oed import (
     w_polynomial,
 )
 from oed.cli import main
-from oed.delta import _plan, _product
+from oed.delta import _binomial_transform, _plan, _product
 
 ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components, delta_frontier]
 
@@ -241,6 +243,18 @@ class TestInclusionExclusionDirect:
         assert inclusion_exclusion_direct(cube) == weighted
 
 
+def count_transforms(monkeypatch) -> list[tuple[int, ...]]:
+    """The count vectors that ``_binomial_transform`` is called on from now."""
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return _binomial_transform(c)
+
+    monkeypatch.setattr(oed.delta, "_binomial_transform", counted)
+    return calls
+
+
 class TestRepeatedComponents:
     def test_perfect_matching_closed_form(self):
         # Each edge is a component with P_c = 1 + x^2 and W_c = 1 - x^2.
@@ -274,11 +288,24 @@ class TestRepeatedComponents:
             calls.append(1)
             return plain(a, b)
 
-        monkeypatch.setattr(DeltaPolynomial, "__mul__", counted)
+        # Each copy's vertices are shuffled, so the copies' step lists differ
+        # and only their counts agree.
         piece = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]
-        g = Graph.from_edges(2000, [(u + 5 * c, v + 5 * c) for c in range(400) for u, v in piece])
-        delta_by_components(g)
+        edges = []
+        for c in range(400):
+            label = random.Random(c).sample(range(5 * c, 5 * c + 5), 5)
+            edges += [(label[u], label[v]) for u, v in piece]
+        g = Graph.from_edges(2000, edges)
+        assert len({tuple(steps) for _, steps in _plan(g, False)}) > 1
+        w_piece = w_polynomial(delta_graycode(Graph.from_edges(5, piece)))
+        w = DeltaPolynomial((1,))
+        for _ in range(400):
+            w = w * w_piece
+        monkeypatch.setattr(DeltaPolynomial, "__mul__", counted)
+        transforms = count_transforms(monkeypatch)
+        assert delta_by_components(g).delta == (0, *(-x for x in w.coeffs[1:]))
         assert len(calls) <= 10  # a fold over the components takes 400
+        assert len(transforms) == 1  # the 400 copies share one count vector
 
 
 def triangles(count: int) -> Graph:
@@ -332,19 +359,21 @@ class TestPooledPowers:
         assert len(w.coeffs) == g.n + 1
         assert delta_by_components(g).delta == (0, *(-x for x in w.coeffs[1:]))
 
-    def test_singleton_folded_onto_a_pooled_power(self):
+    def test_singleton_folded_onto_a_pooled_power(self, monkeypatch):
         prism = gen_family("prism", 6)
         g = disjoint_union(triangles(300), prism)
         w = triangles_w(300) * w_polynomial(delta_graycode(prism))
+        transforms = count_transforms(monkeypatch)
         assert delta_by_components(g).delta == (0, *(-x for x in w.coeffs[1:]))
+        assert len(transforms) == 2  # the triangles' counts without zeros, and the prism's
 
 
 class TestProductExactnessChecks:
     def test_fractional_power_coefficient_raises(self):
         # A repeated base whose constant term is not 1 breaks the recurrence's
-        # division by k.
+        # division by k: (1, 3) and (3, 4) are the counts of 1 + 2x and 3 + x.
         with pytest.raises(EngineDisagreement, match="fractional coefficient"):
-            _product([DeltaPolynomial((1, 2))] * 4 + [DeltaPolynomial((3, 1))] * 3)
+            _product(Counter({(1, 3): 4, (3, 4): 3}))
 
 
 def closed_form_w(h: int, independent: list[int]) -> list[int]:

@@ -1,6 +1,8 @@
 """Property-based invariants over randomly drawn small graphs."""
 
 import random
+from collections import Counter
+from math import comb
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -214,6 +216,14 @@ def folded(factors):
     return out
 
 
+def counts_of(w):
+    """The counts c whose binomial transform is w: c_t = sum_k C(h - k, t - k) w_k."""
+    h = len(w.coeffs) - 1
+    return tuple(
+        sum(comb(h - k, t - k) * wk for k, wk in enumerate(w.coeffs[: t + 1])) for t in range(h + 1)
+    )
+
+
 # A factor times (1 - x)^z, z in 0..3, so that ``_product`` pools (1 - x).
 factors_with_unit_constant = st.builds(
     lambda tail, z: folded([DeltaPolynomial((1, *tail))] + [DeltaPolynomial((1, -1))] * z),
@@ -249,7 +259,7 @@ class TestRepeatedProduct:
     )
     @settings(deadline=None)
     def test_product_is_the_fold(self, factors):
-        product = _product(factors)
+        product = _product(Counter(map(counts_of, factors)))
         assert product == folded(factors)
         assert len(product.coeffs) == sum(len(f.coeffs) - 1 for f in factors) + 1
 

@@ -26,14 +26,12 @@ Four interchangeable engines compute the census:
 Both DP engines compute each polynomial by ``_census``: one pass of
 ``_vertex_sums`` per component, and one product (``_product``) of the
 binomial transforms of these counts. Components often repeat their
-counts: W_c depends only on the component's independent-set counts, and
-a perfect matching has a single factor. Each distinct count vector is
-transformed once, and a factor that repeats is raised to its power by a
-recurrence in one pass instead of being multiplied in once per
-component. The trailing zeros of repeated counts are factors (1 - x) of
-their polynomials, and pool into one power, which roughly halves the
-recurrence's work on repeated W_c; a factor that occurs once or twice is
-folded in as it is.
+counts, and each distinct count vector is transformed once. A factor
+that repeats is raised to its power by a recurrence in one pass, and one
+that occurs once or twice is folded in. Trailing zeros of the counts are
+factors (1 - x): those of repeated counts pool into one power, which
+roughly halves the recurrence's work on repeated W_c, and those of a
+folded factor join the pool only where that makes its fold cheaper.
 
 The enumeration engines refuse more than EDGE_CAP edges. The DP's cost
 grows with the frontier width, not with 2^m; it is estimated before the
@@ -45,6 +43,7 @@ in-process and serially.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain, repeat
 from operator import add, mul, neg, sub
@@ -294,17 +293,16 @@ def _product(groups: Counter[tuple[int, ...]]) -> DeltaPolynomial:
 
         k f_k = sum_(i>=1) (u_i - k q_i) f_(k-i),   u_i = i q_i + r_(i-1).
 
-    Building F takes about deg Q * deg F big-integer products, where a
-    fold takes sum_j e_j deg W_j passes over it; pooling (1 - x) about
-    halves deg Q on repeated W_c. The other factors are transformed in
-    full and folded onto F with ``DeltaPolynomial.__mul__``: stripping a
-    factor that occurs once trades a cheap transform for a long fold (on
-    a 3000-vertex path, W's transform took 0.43 s, and the stripped
-    transform plus its fold onto (1 - x)^1500 0.13 + 3.9 s). The threshold
-    3 is measured, not tuned per call: 3, 4 and 6 ran alike on repeated
-    W_c, and 2 made products of mostly distinct P_c slower. A sum that
-    k does not divide, which a repeated vector with c_0 != 1 gives,
-    raises EngineDisagreement.
+    Building F takes about deg Q * deg F big-integer products, a fold
+    sum_j e_j deg W_j passes over it; pooling (1 - x) about halves deg Q
+    on repeated W_c. The other factors are folded onto F, in order, by
+    ``DeltaPolynomial.__mul__``. On L coefficients, one with alpha + 1
+    leading counts and z zeros costs (alpha + z + 1) L products whole, or
+    (alpha + 1)(L + z) + z deg Q with its zeros pooled; they are pooled
+    only beside a pool and where L > alpha + 1 + deg Q. The threshold 3 is
+    measured: 3, 4 and 6 ran alike on repeated W_c, and 2 made products
+    of mostly distinct P_c slower. A sum that k does not divide, from a
+    repeated vector with c_0 != 1, raises EngineDisagreement.
     """
     bases: Counter[tuple[int, ...]] = Counter()  # repeated counts without their trailing zeros
     z = 0  # the pooled power of (1 - x)
@@ -313,6 +311,16 @@ def _product(groups: Counter[tuple[int, ...]]) -> DeltaPolynomial:
             last = max(t for t, ct in enumerate(c) if ct)
             bases[c[: last + 1]] += e
             z += e * (len(c) - 1 - last)
+    length = 1 + sum(e * (len(c) - 1) for c, e in bases.items())  # F's, less the pooled power
+    span = (z > 0) + sum(len(c) - 1 for c in bases)  # deg Q
+    folds = []  # the factors folded onto F, each as often as it occurs
+    for c, e in groups.items():
+        if e < 3:
+            last = max(t for t, ct in enumerate(c) if ct)
+            if z and z + length > last + 1 + span:
+                z, c = z + e * (len(c) - 1 - last), c[: last + 1]
+            length += e * (len(c) - 1)
+            folds += [_binomial_transform(c)] * e
     repeated = [(_binomial_transform(c), e) for c, e in bases.items() if len(c) > 1]
     if z:
         repeated.append((DeltaPolynomial((1, -1)), z))
@@ -322,20 +330,15 @@ def _product(groups: Counter[tuple[int, ...]]) -> DeltaPolynomial:
         r = DeltaPolynomial(tuple(map(add, (r * w).coeffs, (slope * q).coeffs)))
         q = q * w
     q_tail = q.coeffs[1:]
-    u = [i * qi + ri for i, (qi, ri) in enumerate(zip(q_tail, r.coeffs), 1)]
+    v = [i * qi + ri for i, (qi, ri) in enumerate(zip(q_tail, r.coeffs), 1)]  # u_i - k q_i at k = 0
     f = [1]
     for k in range(1, 1 + sum(e * (len(w.coeffs) - 1) for w, e in repeated)):
-        fk, rest = divmod(sum(map(mul, map(sub, u, map(mul, q_tail, repeat(k))), reversed(f))), k)
+        v = list(map(sub, v, q_tail))
+        fk, rest = divmod(sum(map(mul, v, reversed(f))), k)
         if rest:
             raise EngineDisagreement("a power of component polynomials has a fractional coefficient")
         f.append(fk)
-    out = DeltaPolynomial(tuple(f))
-    for c, e in groups.items():
-        if e < 3:
-            w = _binomial_transform(c)
-            for _ in range(e):
-                out = out * w
-    return out
+    return reduce(mul, folds, DeltaPolynomial(tuple(f)))
 
 
 def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]:
@@ -347,12 +350,12 @@ def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]
     whose last unprocessed neighbour it is), then the most frontier
     neighbours, then the lowest id. A frontier neighbour's key is at most
     (1, -1, v) and any other vertex's is (1, 0, v), so only the frontier's
-    unprocessed neighbours compete; a heap holds their keys, and takes a
-    new one whenever a key changes. The frontier empties exactly when a
-    component is done, and the lowest unprocessed id goes next. A step
-    (inner, drop, vbit) holds the state bits of the vertex's frontier
-    neighbours, the bits freed after it, and its own bit (0 if it leaves
-    at once).
+    unprocessed neighbours compete. A heap per component holds their keys,
+    takes a new one whenever a key changes, and is popped until a key is
+    current. The frontier empties exactly when a component is done, and
+    the lowest unprocessed id goes next. A step (inner, drop, vbit) holds
+    the state bits of the vertex's frontier neighbours, the bits freed
+    after it, and its own bit (0 if it leaves at once).
 
     Model, per pass of ``_vertex_sums``: a step reading the 2^w states of
     a w-vertex frontier costs 2^w * (0.6 us + 8 ns * words) and
@@ -385,13 +388,17 @@ def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]
     earlier = 0  # vertices of finished components
 
     def growth(v: int) -> tuple[int, int, int]:
-        linked = [u for u in adjacency[v] if u in frontier]
-        return ((left[v] > 0) - sum(left[u] == 1 for u in linked), -len(linked), v)
+        net, linked = int(left[v] > 0), 0
+        for u in adjacency[v]:
+            if u in frontier:
+                linked += 1
+                net -= left[u] == 1
+        return (net, -linked, v)
 
-    keys: list[tuple[int, int, int]] = []  # heap of candidate keys, stale ones included
     for v in sorted(left):
         if v not in todo:
             continue
+        keys: list[tuple[int, int, int]] = []  # heap of candidate keys, stale ones included
         steps: list[tuple[int, int, int]] = []
         m = reads = weighted = 0
         while True:
@@ -416,7 +423,10 @@ def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]
                 if u in todo:
                     heappush(keys, growth(u))
                 elif left[u] == 1:
-                    heappush(keys, growth(next(w for w in adjacency[u] if w in todo)))
+                    for w in adjacency[u]:
+                        if w in todo:
+                            break
+                    heappush(keys, growth(w))
             steps.append((inner, drop, vbit))
             m += inner.bit_count()
             i = len(steps)
@@ -433,9 +443,9 @@ def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]
                 )
             if not frontier:
                 break
-            while keys[0][2] not in todo or keys[0] != growth(keys[0][2]):
-                heappop(keys)
-            v = heappop(keys)[2]
+            _, _, v = key = heappop(keys)
+            while v not in todo or key != growth(v):
+                _, _, v = key = heappop(keys)
         seconds = estimate
         earlier += i
         plan.append((m, steps))

@@ -1,8 +1,9 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here works on (n, edge pair list) with itertools and Python
-sets, no bitmasks and no shared code with the package, so agreement with
-the engines is evidence rather than tautology. Usable only at tiny sizes.
+sets, no bitmasks (save the DP steps that ``reference_plan`` spells out)
+and no shared code with the package, so agreement with the engines is
+evidence rather than tautology. Usable only at tiny sizes.
 The command line has an oracle too: the standard library's argparse,
 configured as the ``oed`` command's parser was before it was table-driven.
 """
@@ -78,6 +79,60 @@ def reference_two_colouring(n, edges):
                         grown.add(y)
             ring = grown
     return side_a, side_b
+
+
+def reference_plan(n, edges):
+    """(m_c, steps) per component, in the frontier DP's greedy vertex order.
+
+    A vertex is on the frontier once it is taken while an untaken
+    neighbour remains, and until it has none. With the frontier empty the
+    lowest untaken id of a vertex with an edge comes next; otherwise every
+    untaken neighbour of the frontier is scored by (opens - closes,
+    -linked, id) and the smallest score comes next. It opens if it has an
+    untaken neighbour, closes each frontier neighbour it is the last
+    untaken neighbour of, and is linked to each frontier neighbour. A
+    frontier vertex holds the lowest bit position free when it joins. A
+    step is (bits of the frontier neighbours, bits of those it closes,
+    its own bit or 0).
+    """
+    near = {v: set() for v in range(n)}
+    for u, v in edges:
+        near[u].add(v)
+        near[v].add(u)
+    taken, frontier, plan = set(), {}, []  # frontier: vertex -> bit position
+
+    def untaken(v):
+        return {u for u in near[v] if u not in taken}
+
+    def score(v, waiting):
+        linked = [u for u in near[v] if u in frontier]
+        closes = sum(1 for u in linked if waiting[u] == {v})
+        opens = 1 if untaken(v) else 0
+        return (opens - closes, -len(linked), v)
+
+    for start in range(n):
+        if start in taken or not near[start]:
+            continue
+        steps, inside, v = [], {start}, start
+        while True:
+            linked = [u for u in near[v] if u in frontier]
+            taken.add(v)
+            inside |= near[v]
+            closed = [u for u in linked if not untaken(u)]
+            inner = sum(1 << frontier[u] for u in linked)
+            drop = sum(1 << frontier.pop(u) for u in closed)
+            vbit = 0
+            if untaken(v):
+                bit = min(set(range(len(frontier) + 1)) - set(frontier.values()))
+                frontier[v] = bit
+                vbit = 1 << bit
+            steps.append((inner, drop, vbit))
+            if not frontier:
+                break
+            waiting = {w: untaken(w) for w in frontier}
+            v = min(score(u, waiting) for w in frontier for u in waiting[w])[2]
+        plan.append((sum(1 for u, w in edges if u in inside), steps))
+    return plan
 
 
 def reference_delta(n, edges):

@@ -367,6 +367,26 @@ class TestPooledPowers:
         assert delta_by_components(g).delta == (0, *(-x for x in w.coeffs[1:]))
         assert len(transforms) == 2  # the triangles' counts without zeros, and the prism's
 
+    def test_long_singleton_folded_whole(self, monkeypatch):
+        # The path's W has 101 leading counts and 100 zeros; the triangles'
+        # product has 10 coefficients. Pooling the zeros would fold a
+        # 102-coefficient quotient onto 110 coefficients instead.
+        path = gen_family("path", 201)
+        g = disjoint_union(path, triangles(3))
+        independent = [comb(202 - t, t) for t in range(102)]
+        w = DeltaPolynomial(tuple(closed_form_w(201, independent))) * triangles_w(3)
+        lengths = []
+        plain = DeltaPolynomial.__mul__
+
+        def recorded(a, b):
+            lengths.append((len(a.coeffs), len(b.coeffs)))
+            return plain(a, b)
+
+        monkeypatch.setattr(DeltaPolynomial, "__mul__", recorded)
+        assert delta_by_components(g).delta == (0, *(-x for x in w.coeffs[1:]))
+        assert (10, 202) in lengths  # the path's whole W, folded onto the triangles'
+        assert all(min(pair) <= 10 for pair in lengths)
+
 
 class TestProductExactnessChecks:
     def test_fractional_power_coefficient_raises(self):

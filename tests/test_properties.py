@@ -6,7 +6,7 @@ from math import comb
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reference_census, reference_delta
+from reference import reference_census, reference_delta, reference_plan
 
 from oed import (
     CapError,
@@ -28,7 +28,7 @@ from oed import (
     vc_count_reduction,
     w_polynomial,
 )
-from oed.delta import _product
+from oed.delta import _plan, _product
 
 
 @st.composite
@@ -81,6 +81,25 @@ def connected_unions(draw, m_max=80):
         n += size
     n += draw(st.integers(min_value=0, max_value=5))
     return Graph.from_edges(n, pairs)
+
+
+def relabelled(g, seed):
+    """``g`` with its vertex ids permuted by a seeded shuffle."""
+    label = list(range(g.n))
+    random.Random(seed).shuffle(label)
+    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
+def random_union(count, size, m, seed):
+    """``count`` random connected (size, m) pieces side by side, relabelled."""
+    rng = random.Random(seed)
+    pairs: list[tuple[int, int]] = []
+    for c in range(count):
+        tree = [(rng.randrange(v), v) for v in range(1, size)]
+        others = [(u, v) for v in range(size) for u in range(v) if (u, v) not in tree]
+        piece = tree + rng.sample(others, m - len(tree))
+        pairs.extend((u + c * size, v + c * size) for u, v in piece)
+    return relabelled(Graph.from_edges(count * size, pairs), seed)
 
 
 class TestGraphInvariants:
@@ -151,6 +170,27 @@ class TestCensusInvariants:
         profile = delta_graycode(g)
         assert profile.delta[0] == 0
         assert g.n == 0 or profile.delta[1] == 0
+
+
+class TestPlanOrder:
+    """The DP's vertex order, against a greedy that shares no code with ``_plan``.
+
+    The estimates and refusals are a function of the steps, so equal steps
+    for both passes pin them down too.
+    """
+
+    @given(st.one_of(scattered_graphs(), st.builds(relabelled, connected_unions(), st.integers())))
+    @example(gen_family("prism", 20))
+    @example(gen_family("star", 200))
+    @example(gen_family("complete_bipartite", 7))
+    @example(gen_family("cube_q3"))
+    @example(random_union(200, 8, 12, 1))
+    @example(random_union(400, 5, 6, 2))
+    @settings(deadline=None)
+    def test_plan_takes_the_greedy_order(self, g):
+        expected = reference_plan(g.n, [(u, v) for u, v in g.edges])
+        assert _plan(g, True) == expected
+        assert _plan(g, False) == expected
 
 
 class TestMetamorphic:
@@ -256,6 +296,21 @@ class TestRepeatedProduct:
         + [DeltaPolynomial((1, 0, -3, 2))] * 5
         + [DeltaPolynomial((1, -3))]
         + [DeltaPolynomial((1, 4, 1))] * 2
+    )
+    # Factors seen once and twice, with trailing zeros, beside a pooled power:
+    # both are folded without their zeros.
+    @example(
+        [DeltaPolynomial((1, 0, -3, 2))] * 3
+        + [folded([DeltaPolynomial((1, 3))] + [DeltaPolynomial((1, -1))] * 3)]
+        + [folded([DeltaPolynomial((1, 1, 5))] + [DeltaPolynomial((1, -1))] * 2)] * 2
+    )
+    # (1 + x)^40 (1 - x)^10 once, beside three short repeated bases: too long
+    # for its zeros to pay off, so it is folded whole.
+    @example(
+        [DeltaPolynomial((1, 0, -3, 2))] * 3
+        + [DeltaPolynomial((1, -4, 3))] * 4
+        + [folded([DeltaPolynomial((1, -1))] * 2 + [DeltaPolynomial((1, 4, 1))])] * 5
+        + [folded([DeltaPolynomial((1, 1))] * 40 + [DeltaPolynomial((1, -1))] * 10)]
     )
     @settings(deadline=None)
     def test_product_is_the_fold(self, factors):

@@ -4,8 +4,11 @@ Commands: ``delta`` (census of one graph), ``count`` (vertex covers by a
 chosen method), ``verify`` (identity cross-checks), ``gen`` (instance
 families), ``bench`` (engine timing). Results go to stdout as JSON (CSV
 for profiles on request); diagnostics go to stderr. Exit codes: 0
-success, 2 input error, 3 resource cap exceeded or memory exhausted, 4
-internal cross-check failure, 130 interrupted (Ctrl-C).
+success, 2 input error (stdout closed or full too), 3 resource cap
+exceeded or memory exhausted, 4 internal cross-check failure, 130
+interrupted (Ctrl-C). ``entry()`` ends the process right after its last
+flush, so no ``atexit`` hook runs (coverage's subprocess mode, ``python
+-m cProfile -m oed``): profile through ``main()`` in-process.
 
 The command line is read against one table, ``COMMANDS``; a line it does
 not admit exits 2 with one ``oed: error:`` line, and ``-h`` prints the
@@ -315,8 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         old_digits = sys.get_int_max_str_digits()
         set_digits(0)
     try:
+        if sys.stdout is None and getattr(args, "output", None) is None:
+            raise OSError("stdout is closed")  # fd 1 was closed at start-up
         code = args.func(args)
-        sys.stdout.flush()  # a reader that has gone away shows here, not at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code
     except BrokenPipeError:
         # The reader stopped reading, which is not an error. Point stdout at
@@ -344,7 +350,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """Run main(), flush stdout and stderr, and end with no teardown or atexit."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):
+            pass  # main kept its code and has already reported the error
+    os._exit(code)
 
 
 if __name__ == "__main__":

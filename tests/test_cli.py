@@ -671,6 +671,60 @@ class TestStartup:
         assert {"typing", "re", "enum"}.isdisjoint(modules_after_default_commands(k3_file))
 
 
+def console_script_wrapper():
+    """The wrapper an installer writes for the `oed` script in pyproject.toml."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        value = tomllib.load(fh)["project"]["scripts"]["oed"]
+    script = importlib.metadata.EntryPoint("oed", value, "console_scripts")
+    return (
+        "import sys\n"
+        "from importlib.metadata import EntryPoint\n"
+        f"script = EntryPoint({script.name!r}, {script.value!r}, {script.group!r})\n"
+        "sys.argv[0] = 'oed'\n"
+        "sys.exit(script.load()())\n"
+    )
+
+
+def assert_exit_cases(command, k3_file, tmp_path):
+    """Exit codes and stderr of a cold `oed` started as ``command`` (an argv prefix).
+
+    stderr is empty or exactly one ``oed: error:`` line: the process ends
+    right after its last flush, with no traceback and nothing ignored.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+    complete40 = tmp_path / "complete40.txt"
+    complete40.write_text(to_edge_list(gen_family("complete", 40)))
+
+    def run(*args, **kwargs):
+        proc = subprocess.run(
+            [*command, *args], stderr=subprocess.PIPE, text=True, env=env, **kwargs
+        )
+        assert proc.stderr == "" or (
+            proc.stderr.startswith("oed: error:") and proc.stderr.count("\n") == 1
+        ), proc.stderr
+        return proc
+
+    proc = run("delta", "--input", k3_file, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["delta"] == ["0", "0", "3", "-2"]
+    # The exit status is main's return code, not just "no exception".
+    missing = run("delta", "--input", str(tmp_path / "missing.txt"), stdout=subprocess.PIPE)
+    assert missing.returncode == 2 and missing.stderr
+    closed = run("count", "--input", k3_file, preexec_fn=lambda: os.close(1))
+    assert (closed.returncode, closed.stderr) == (2, "oed: error: stdout is closed\n")
+    refused = run("delta", "--input", str(complete40), stdout=subprocess.PIPE)
+    assert (refused.returncode, refused.stdout) == (3, "")
+    assert refused.stderr.startswith("oed: error: census DP estimated at ")
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = run("count", "--input", k3_file, stdout=full)
+        assert (proc.returncode, proc.stderr) == (2, "oed: error: [Errno 28] No space left on device\n")
+
+
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "k3.txt"
@@ -685,35 +739,80 @@ class TestEntryPoints:
 
     def test_console_script(self, k3_file, tmp_path):
         """The `oed` script declared in pyproject.toml, run as installers run it."""
-        if sys.version_info >= (3, 11):
-            import tomllib
-        else:
-            tomllib = pytest.importorskip("tomli")
-        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
-            value = tomllib.load(fh)["project"]["scripts"]["oed"]
-        script = importlib.metadata.EntryPoint("oed", value, "console_scripts")
-        # The wrapper an installer writes for a console_scripts entry point.
-        wrapper = (
-            "import sys\n"
-            "from importlib.metadata import EntryPoint\n"
-            f"script = EntryPoint({script.name!r}, {script.value!r}, {script.group!r})\n"
-            "sys.argv[0] = 'oed'\n"
-            "sys.exit(script.load()())\n"
-        )
+        assert_exit_cases([sys.executable, "-c", console_script_wrapper()], k3_file, tmp_path)
+
+    def test_module_exit_codes(self, k3_file, tmp_path):
+        assert_exit_cases([sys.executable, "-m", "oed"], k3_file, tmp_path)
+
+    def test_closed_stdout_at_start_spares_gen_output(self, tmp_path):
+        """With fd 1 closed, a command that writes stdout exits 2; gen --output writes it all."""
         env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
-
-        def run(*args):
-            return subprocess.run(
-                [sys.executable, "-c", wrapper, *args], capture_output=True, text=True, env=env
+        path = tmp_path / "prism200.txt"
+        for args in (["-h"], ["gen", "prism", "4"], ["gen", "prism", "200", "--output", str(path)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "oed", *args],
+                stderr=subprocess.PIPE,
+                env=env,
+                preexec_fn=lambda: os.close(1),
             )
+            writes_stdout = "--output" not in args
+            assert proc.returncode == (2 if writes_stdout else 0)
+            assert proc.stderr == (b"oed: error: stdout is closed\n" if writes_stdout else b"")
+        assert path.read_text() == to_edge_list(gen_family("prism", 200))
 
-        proc = run("delta", "--input", k3_file)
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["delta"] == ["0", "0", "3", "-2"]
-        # The script's exit status is main's return code, not just "no exception".
-        missing = run("delta", "--input", str(tmp_path / "missing.txt"))
-        assert missing.returncode == 2
-        assert missing.stderr.startswith("oed: error:")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fast_exit_loses_no_output(self, tmp_path, capsys, fmt):
+        """A cold call's stdout, to a pipe read to the end or to a file, is main()'s."""
+        path = tmp_path / "prism200.txt"
+        path.write_text(to_edge_list(gen_family("prism", 200)))
+        args = ["delta", "--input", str(path), "--format", fmt]
+        assert main(args) == 0
+        expected = capsys.readouterr().out.encode()
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        command = [sys.executable, "-m", "oed", *args]
+        piped = subprocess.run(command, capture_output=True, env=env)
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        out = tmp_path / f"out.{fmt}"
+        with open(out, "wb") as fh:
+            filed = subprocess.run(command, stdout=fh, stderr=subprocess.PIPE, env=env)
+        assert (filed.returncode, filed.stderr) == (0, b"")
+        assert len(expected) > 100_000  # many buffer flushes, more than a pipe holds
+        assert piped.stdout == expected
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "error", [None, OSError(28, "No space left on device"), ValueError], ids=["ok", "full", "closed"]
+    )
+    def test_entry_flushes_then_exits_with_mains_code(self, monkeypatch, error):
+        """entry() flushes each open stream once, keeps main's code through a failed flush."""
+
+        class Stream:
+            flushes = 0
+
+            def flush(self):
+                self.flushes += 1
+                if error is not None:
+                    raise error
+
+        class Exited(Exception):
+            pass
+
+        def exit_(code):
+            raise Exited(code)
+
+        stdout, stderr = Stream(), Stream()
+        for name, stream in (("stdout", stdout), ("stderr", stderr)):
+            monkeypatch.setattr(sys, name, stream)
+        monkeypatch.setattr(oed.cli, "main", lambda: 3)
+        monkeypatch.setattr(os, "_exit", exit_)
+        with pytest.raises(Exited) as exited:
+            oed.cli.entry()
+        assert exited.value.args == (3,)
+        assert (stdout.flushes, stderr.flushes) == (1, 1)
+        monkeypatch.setattr(sys, "stdout", None)  # fd 1 closed at start-up
+        with pytest.raises(Exited):
+            oed.cli.entry()
+        assert stderr.flushes == 2
 
     def test_closed_stdout_exits_0(self, tmp_path):
         """A reader that stops reading is not an input error, in either format."""

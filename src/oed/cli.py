@@ -14,13 +14,15 @@ The command line is read against one table, ``COMMANDS``; a line it does
 not admit exits 2 with one ``oed: error:`` line, and ``-h`` prints the
 usage the table gives. ``delta`` and ``count`` write their JSON and CSV
 directly, so neither loads a JSON, CSV or argument-parsing module.
+``delta`` writes a profile in pieces of about WRITE_BYTES of text, so a
+write holds a few thousand short counts or a few dozen wide ones.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from itertools import islice, repeat
+from itertools import repeat
 from types import SimpleNamespace
 
 from .covers import (
@@ -38,9 +40,11 @@ EXIT_CAP = 3
 EXIT_CROSSCHECK = 4
 EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a process ended by Ctrl-C
 
-# Profile entries written per stdout write: a 10^6-entry profile never
-# becomes one string per entry at once.
-CHUNK = 4096
+# Text per stdout write, in bytes. A write holds its entries' strings, their
+# join and the encoded copy, so its size in bytes, not its entry count, is
+# what stays bounded: counts thousands of digits wide go a few dozen at a
+# time, and zeros about 4,096 at a time.
+WRITE_BYTES = 1 << 15
 
 
 def _emit_json(obj) -> None:
@@ -49,36 +53,53 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _write_batches(count: int, render, sep: str = "") -> None:
+    """Write ``render(start, stop)`` for consecutive ranges of [0, count), ``sep`` between them.
+
+    A batch takes as many entries as fitted WRITE_BYTES of text in the one
+    before, and at most twice as many, starting from 16: it overshoots only
+    as far as its entries widen.
+    """
+    write = sys.stdout.write
+    start, size = 0, 16
+    while True:
+        stop = min(start + size, count)
+        text = render(start, stop)
+        write(text)
+        if stop == count:
+            return
+        write(sep)
+        size = min(2 * size, max(1, WRITE_BYTES * size // len(text)))
+        start = stop
+
+
 def _write_json_profile(profile: DeltaProfile) -> None:
     """The profile as ``json.dumps(..., indent=2)`` lays it out, counts as strings."""
     write = sys.stdout.write
     write(f'{{\n  "n": {profile.n},\n')
     arrays = (("O", profile.odd_counts), ("E", profile.even_counts), ("delta", profile.delta))
+    sep = '",\n    "'
     for key, values in arrays:
         end = "\n" if key == "delta" else ",\n"
         if values is None:
             write(f'  "{key}": null{end}')
             continue
         write(f'  "{key}": [\n    "')
-        for start in range(0, len(values), CHUNK):
-            if start:
-                write('",\n    "')
-            write('",\n    "'.join(map(str, values[start : start + CHUNK])))
+        _write_batches(len(values), lambda a, b, v=values: sep.join(map(str, v[a:b])), sep)
         write(f'"\n  ]{end}')
     write("}\n")
 
 
 def _write_csv_profile(profile: DeltaProfile) -> None:
     """One ``k,odd,even,delta`` row per k; counts the engine leaves out are empty."""
-    write = sys.stdout.write
-    write("k,odd,even,delta\n")
-    if profile.odd_counts is None:
-        odd = even = repeat("")
-    else:
-        odd, even = profile.odd_counts, profile.even_counts
-    rows = zip(range(profile.n + 1), odd, even, profile.delta)
-    while chunk := list(islice(rows, CHUNK)):
-        write("".join(f"{k},{odd},{even},{delta}\n" for k, odd, even, delta in chunk))
+    sys.stdout.write("k,odd,even,delta\n")
+    odd, even, delta = profile.odd_counts, profile.even_counts, profile.delta
+
+    def rows(a: int, b: int) -> str:
+        counts = repeat(("", "")) if odd is None else zip(odd[a:b], even[a:b])
+        return "".join(f"{k},{o},{e},{d}\n" for k, (o, e), d in zip(range(a, b), counts, delta[a:b]))
+
+    _write_batches(len(delta), rows)
 
 
 def cmd_delta(args: SimpleNamespace) -> int:

@@ -46,7 +46,7 @@ from collections import Counter, namedtuple
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain, repeat
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 from .errors import CapError, EngineDisagreement
 from .graph import Graph
@@ -193,19 +193,26 @@ def _gray_census(g: Graph) -> tuple[list[int], list[int]]:
     return odd, even
 
 
+def _padded(n: int, values: list[int]) -> tuple[int, ...]:
+    """``values`` followed by zeros up to n + 1 entries."""
+    return tuple(chain(values, repeat(0, n + 1 - len(values))))
+
+
 def _parity_profile(n: int, odd: list[int], even: list[int]) -> DeltaProfile:
     """The profile of the counts for k < len(odd), padded with zeros to k = n.
 
     Each engine's lists reach only as far as its census can, so the three
     arrays of n + 1 entries are the only ones built.
     """
-    pad = n + 1 - len(odd)
-    return DeltaProfile(
-        n=n,
-        odd_counts=tuple(chain(odd, repeat(0, pad))),
-        even_counts=tuple(chain(even, repeat(0, pad))),
-        delta=tuple(chain(map(sub, odd, even), repeat(0, pad))),
-    )
+    return DeltaProfile(n, _padded(n, odd), _padded(n, even), _padded(n, list(map(sub, odd, even))))
+
+
+def _negate(w: list[int]) -> list[int]:
+    """D = 1 - W in place: delta_0 = 0 and delta_k = -W_k, each W_k freed as delta_k is made."""
+    w[0] = 0
+    for k in range(1, len(w)):
+        w[k] = -w[k]
+    return w
 
 
 def _check_edge_cap(m: int) -> None:
@@ -244,9 +251,8 @@ def delta_by_components(g: Graph) -> DeltaProfile:
     marked not computed. Components with equal counts share one
     transform and one power in ``_product``.
     """
-    w = _w_coeffs(g)
-    delta = tuple(chain((0,), map(neg, w[1:]), repeat(0, g.n + 1 - len(w))))
-    return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=delta)
+    delta = _negate(list(_w_coeffs(g)))
+    return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=_padded(g.n, delta))
 
 
 def _w_coeffs(g: Graph) -> tuple[int, ...]:
@@ -507,14 +513,19 @@ def delta_frontier(g: Graph) -> DeltaProfile:
     Both multiply over components, in ``_product``, which raises a
     repeated factor to its power in one pass. For k >= 1,
     O_k + E_k = P_k and E_k - O_k = W_k: the full parity split,
-    identical to delta_graycode's.
+    identical to delta_graycode's. P is dropped once O is formed, E is
+    O + W, and W is negated into delta in place, so at most three arrays
+    of counts are held at once.
     """
     plan = _plan(g, True)
     p = _census(plan, True)
-    w = _census(plan, False)
+    w = list(_census(plan, False))
+    del plan
     odd = [0, *((x - y) >> 1 for x, y in zip(p[1:], w[1:]))]
-    even = [0, *((x + y) >> 1 for x, y in zip(p[1:], w[1:]))]
-    return _parity_profile(g.n, odd, even)
+    del p
+    even = [0, *map(add, odd[1:], w[1:])]  # E_k = O_k + W_k
+    delta = _negate(w)
+    return DeltaProfile(g.n, _padded(g.n, odd), _padded(g.n, even), _padded(g.n, delta))
 
 
 ENGINES = {

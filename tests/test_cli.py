@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
+import hashlib
 import importlib.metadata
 import io
 import json
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 from reference import ENGINE_NAMES, FAMILY_NAMES, reference_parser
 
 import oed
-from oed import ENGINES, MAX_VERTICES, VERTEX_CAP, Graph, gen_family, to_edge_list
-from oed.cli import UsageError, main, parse_args
+from oed import ENGINES, MAX_VERTICES, VERTEX_CAP, DeltaProfile, Graph, gen_family, to_edge_list
+from oed.cli import UsageError, _write_csv_profile, _write_json_profile, main, parse_args
 from oed.graph import MAX_GENERATED_EDGES, MAX_TOKEN_CHARS
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
@@ -163,6 +165,63 @@ class TestDelta:
         default_out = capsys.readouterr().out
         assert main(["delta", "--input", str(path), "--format", fmt, "--engine", "gray"]) == 0
         assert capsys.readouterr().out == default_out
+
+
+def matching_profile(edges: int, split: bool) -> DeltaProfile:
+    """The census of a perfect matching, from P = (1 + x^2)^m and W = (1 - x^2)^m.
+
+    O_2j and E_2j are C(m, j) for odd and even j >= 1, so delta_2j = (-1)^(j+1) C(m, j).
+    """
+    odd, even, delta = ([0] * (2 * edges + 1) for _ in range(3))
+    c = 1  # C(m, j), by C(m, j) = C(m, j - 1) (m - j + 1) / j
+    for j in range(1, edges + 1):
+        c = c * (edges - j + 1) // j
+        (odd if j & 1 else even)[2 * j] = c
+        delta[2 * j] = c if j & 1 else -c
+    if not split:
+        return DeltaProfile(2 * edges, None, None, tuple(delta))
+    return DeltaProfile(2 * edges, tuple(odd), tuple(even), tuple(delta))
+
+
+class HashSink:
+    """A stdout that keeps only a running hash of the UTF-8 bytes written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.hash.update(text.encode())
+        return len(text)
+
+
+class TestProfileWriters:
+    """The writers hold one write's text at a time, however wide the counts."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["components", "frontier"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_is_bounded_by_bytes(self, monkeypatch, fmt, split):
+        # Counts up to C(3000, 1500), 902 digits: one write of all 6,001
+        # entries, or of 4,096, holds over 3 MB of strings, join and bytes.
+        profile = matching_profile(3000, split)
+        if fmt == "json":
+            arrays = [None if a is None else list(map(str, a)) for a in profile[1:]]
+            expected = json.dumps(dict(zip(("n", "O", "E", "delta"), [profile.n, *arrays])), indent=2) + "\n"
+            writer = _write_json_profile
+        else:
+            odd, even = (profile.odd_counts, profile.even_counts) if split else ([""] * (profile.n + 1),) * 2
+            rows = (f"{k},{o},{e},{d}\n" for k, (o, e, d) in enumerate(zip(odd, even, profile.delta)))
+            expected = "k,odd,even,delta\n" + "".join(rows)
+            writer = _write_csv_profile
+        sink = HashSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            writer(profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.hash.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+        assert peak < 512 << 10
 
 
 class TestCount:

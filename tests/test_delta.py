@@ -2,7 +2,9 @@
 
 import json
 import random
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -386,6 +388,35 @@ class TestPooledPowers:
         assert delta_by_components(g).delta == (0, *(-x for x in w.coeffs[1:]))
         assert (10, 202) in lengths  # the path's whole W, folded onto the triangles'
         assert all(min(pair) <= 10 for pair in lengths)
+
+
+def traced_peak(engine, g) -> tuple[DeltaProfile, int]:
+    """The engine's profile of g and the peak bytes it traced, after one untraced warm-up call."""
+    engine(g)
+    tracemalloc.start()
+    try:
+        profile = engine(g)
+        return profile, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def int_bytes(*arrays) -> int:
+    return sum(sys.getsizeof(x) for values in arrays for x in values)
+
+
+class TestEngineCopies:
+    """On 1,000 disjoint triangles the engines hold about one copy of the arrays they return."""
+
+    def test_components_negates_w_in_place(self):
+        profile, peak = traced_peak(delta_by_components, triangles(1000))
+        # Holding W beside delta would peak at about 2.2 times delta's ints.
+        assert peak < 1.5 * int_bytes(profile.delta)
+
+    def test_frontier_drops_p_and_w(self):
+        profile, peak = traced_peak(delta_frontier, triangles(1000))
+        # Holding P and W beside the three arrays would peak at about 1.8 times their ints.
+        assert peak < 1.4 * int_bytes(profile.odd_counts, profile.even_counts, profile.delta)
 
 
 class TestProductExactnessChecks:

@@ -346,10 +346,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code
     except BrokenPipeError:
-        # The reader stopped reading, which is not an error. Point stdout at
-        # devnull so the interpreter's final flush cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return EXIT_OK  # the reader stopped reading, which is not an error
     except CapError as exc:
         print(f"oed: error: {exc}", file=sys.stderr)
         return EXIT_CAP

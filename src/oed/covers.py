@@ -11,8 +11,12 @@ The count is computed by
 
       |covers| = 2^n - sum_k delta_k * 2^(n-k) = 2^n * W(1/2),
 
-  with W(x) = 1 - D(x) the product of the components' polynomials. An
-  isolated vertex adds no factor to W and one factor of 2 through 2^n.
+  with W(x) = 1 - D(x) the product of the components' polynomials. A
+  component's W_c(x) = (1-x)^h_c I_c(x / (1-x)), I_c its independence
+  polynomial sum_t B_t x^t on h_c vertices, so W_c(1/2) = 2^-h_c sum_t B_t
+  and the count is 2^(isolated) * prod_c sum_t B_t: the census's own W
+  pass, summed, with no product of polynomials formed. An isolated
+  vertex adds no factor to W and one factor of 2 through 2^n.
 
 All arithmetic is integer end to end; counts are exact at any size the
 caps admit. The oracles are deliberately plain subset scans, structurally
@@ -21,7 +25,9 @@ unrelated to the census pipeline they validate.
 
 from __future__ import annotations
 
-from .delta import _w_coeffs
+from math import prod
+
+from .delta import _plan, _vertex_sums
 from .errors import CapError
 from .graph import Graph
 
@@ -64,9 +70,10 @@ def independent_set_count(g: Graph) -> int:
 def vc_count_reduction(g: Graph) -> int:
     """Cover count via the census: 2^n * W(1/2), exactly.
 
-    With w_k the coefficients of W up to its degree h, that is
-    sum_k w_k * 2^(h-k), shifted left by n - h.
+    Each component's W pass gives its B_t, and 2^h_c * W_c(1/2) = sum_t B_t,
+    so the count is the product of these sums shifted left by n - h, h the
+    vertices with an edge.
     """
-    w = _w_coeffs(g)
-    h = len(w) - 1
-    return sum(wk << (h - k) for k, wk in enumerate(w)) << (g.n - h)
+    plan = _plan(g, False)
+    count = prod(sum(_vertex_sums(steps, m, False)) for m, steps in plan)
+    return count << (g.n - sum(len(steps) for _, steps in plan))

@@ -73,6 +73,8 @@ class DeltaProfile(namedtuple("DeltaProfile", "n odd_counts even_counts delta"))
 
     def __new__(cls, n, odd_counts, even_counts, delta):
         self = super().__new__(cls, n, odd_counts, even_counts, delta)
+        if self.n < 0:
+            raise ValueError(f"n must be at least 0, got {self.n}")
         if len(self.delta) != self.n + 1:
             raise ValueError(f"delta array has length {len(self.delta)}, expected {self.n + 1}")
         if self.delta[0] != 0 or (self.n >= 1 and self.delta[1] != 0):
@@ -245,25 +247,15 @@ def delta_by_components(g: Graph) -> DeltaProfile:
     """Census via per-component factorization of W(x) = 1 - D(x).
 
     Each component runs one pass of ``_vertex_sums``, over its independent
-    sets only; the binomial transform of their counts B_t is its W
-    polynomial: W_0 = B_0 = 1, and W_k = E_k - O_k for k >= 1. Only the W
-    product is formed, so only delta is recovered and odd/even counts are
-    marked not computed. Components with equal counts share one
+    sets only, planned and priced for that pass alone, as for
+    ``vc_count_reduction``; the binomial transform of their counts B_t is
+    its W polynomial: W_0 = B_0 = 1, and W_k = E_k - O_k for k >= 1. Only
+    the W product is formed, so only delta is recovered and odd/even counts
+    are marked not computed. Components with equal counts share one
     transform and one power in ``_product``.
     """
-    delta = _negate(list(_w_coeffs(g)))
+    delta = _negate(list(_census(_plan(g, False), False)))
     return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=_padded(g.n, delta))
-
-
-def _w_coeffs(g: Graph) -> tuple[int, ...]:
-    """Coefficients k = 0..h of W(x) = 1 - D(x), h the number of vertices with an edge.
-
-    W is the product of the components' W_c, each from one pass of
-    ``_vertex_sums`` over the component's independent sets, planned and
-    priced for that pass alone. An isolated vertex adds no factor, so past
-    h every coefficient is 0.
-    """
-    return _census(_plan(g, False), False)
 
 
 def _binomial_transform(c: tuple[int, ...]) -> DeltaPolynomial:

@@ -3,12 +3,13 @@
 ``run_verification`` checks, per graph, that the four census engines
 agree (the frontier DP on the full parity split), that the census is
 complete (counts sum to 2^m - 1) with signed sum 1, and that the cover
-count comes out identical via the census reduction, the census formula
-on the ``gray`` profile, the brute-force scan, the independent-set scan,
-and the direct alternating sum. Each engine runs once per graph. Graphs
-come from exhaustive enumeration of all labeled graphs up to a small n
-and from seeded random sampling, so a report is fully reproducible from
-(seed, parameters).
+count comes out identical via the census reduction (2^(isolated) *
+prod_c sum_t B_t, each component's independent sets, with no polynomial
+product), the census formula on the ``gray`` profile, the brute-force
+scan, the independent-set scan, and the direct alternating sum. Each
+engine runs once per graph. Graphs come from exhaustive enumeration of
+all labeled graphs up to a small n and from seeded random sampling, so a
+report is fully reproducible from (seed, parameters).
 
 ``run_bench`` times engines on one input and refuses to report numbers
 unless every engine produced the identical delta array.

@@ -893,6 +893,27 @@ class TestEntryPoints:
             assert lines == head
             assert stderr == b""
 
+    def test_closed_reader_leaves_stdout_in_process(self):
+        """main() in a caller's process exits 0 on a closed reader and leaves fd 1 as it was."""
+        script = (
+            "import os, stat, sys\n"
+            "from oed.cli import main\n"
+            "code = main(['gen', 'prism', '200'])\n"
+            "sys.stderr.write(f'{code} {stat.S_ISFIFO(os.fstat(1).st_mode)}')\n"
+            "sys.stderr.flush()\n"
+            "os._exit(0)  # the caller's own final flush would meet the closed pipe\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script], stdout=write, stderr=subprocess.PIPE, env=env, timeout=60
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, b"0 True")
+
     def test_interrupt_exits_130(self, tmp_path):
         """Ctrl-C during a long sweep ends in one stderr line, not a traceback."""
         path = tmp_path / "prism8.txt"

@@ -6,13 +6,17 @@ import tracemalloc
 import pytest
 from reference import census_cover_count, reference_independent_count, reference_vc_count
 
+import oed.delta
 from oed import (
     ENGINES,
     VERTEX_CAP,
     CapError,
+    DeltaPolynomial,
     Graph,
     add_isolated,
     brute_force_vc_count,
+    delta_by_components,
+    delta_frontier,
     disjoint_union,
     gen_family,
     independent_set_count,
@@ -36,6 +40,35 @@ def prism_cover_count(s):
         power = [[sum(power[i][k] * t[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     return sum(power[i][i] for i in range(3))
 
+
+def path_cover_count(n):
+    """Covers of a path on n vertices: F(n + 2), with F(0) = 0 and F(1) = 1."""
+    a, b = 0, 1
+    for _ in range(n + 2):
+        a, b = b, a + b
+    return a
+
+
+def copies(g, count):
+    """``count`` disjoint copies of g, side by side."""
+    return Graph.from_edges(
+        count * g.n, [(u + i * g.n, v + i * g.n) for i in range(count) for u, v in g.edges]
+    )
+
+
+TRIANGLES = copies(gen_family("complete", 3), 1000)
+
+# One long component, 1,000 equal ones, and a long path beside three triangles:
+# a W product of each shape that ``_product`` forms, with its known count.
+PAST_THE_ORACLES = [
+    pytest.param(gen_family("prism", 200), prism_cover_count(200), id="prism200"),
+    pytest.param(TRIANGLES, 4**1000, id="triangles1000"),
+    pytest.param(
+        disjoint_union(gen_family("path", 3000), copies(gen_family("complete", 3), 3)),
+        64 * path_cover_count(3000),
+        id="path3000-triangles3",
+    ),
+]
 
 # K3 plus t isolated vertices for t = 1..5, and a million isolated vertices alone.
 ISOLATED_CASES = [
@@ -168,3 +201,36 @@ class TestReductionPipeline:
         elapsed = time.perf_counter() - start
         assert count == prism_cover_count(10) ** 3
         assert elapsed < 1.0, f"3 x prism 10 took {elapsed:.2f}s"
+
+
+class TestCountFormsNoProduct:
+    """``count`` sums each component's independent sets and multiplies the sums.
+
+    It forms no W polynomial, so the paper's identity on a census checks
+    ``_product`` against it past every oracle's reach.
+    """
+
+    @pytest.mark.parametrize("g,expected", PAST_THE_ORACLES)
+    def test_count_needs_no_transform_or_product(self, monkeypatch, g, expected):
+        def refused(*args):
+            raise AssertionError("count formed a W polynomial")
+
+        monkeypatch.setattr(oed.delta, "_product", refused)
+        monkeypatch.setattr(oed.delta, "_binomial_transform", refused)
+        assert vc_count_reduction(g) == expected
+
+    def test_a_wrong_product_fails_the_identity(self, monkeypatch):
+        count = vc_count_reduction(TRIANGLES)
+        engines = (delta_by_components, delta_frontier)
+        assert [census_cover_count(engine(TRIANGLES)) for engine in engines] == [count, count]
+        product = oed.delta._product
+
+        def off_by_one(groups):
+            coeffs = list(product(groups).coeffs)
+            coeffs[len(coeffs) // 2] += 1
+            return DeltaPolynomial(tuple(coeffs))
+
+        monkeypatch.setattr(oed.delta, "_product", off_by_one)
+        assert vc_count_reduction(TRIANGLES) == count
+        for engine in engines:
+            assert census_cover_count(engine(TRIANGLES)) != count

@@ -506,6 +506,10 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="length"):
             DeltaProfile(n=3, odd_counts=None, even_counts=None, delta=(0, 0, 1))
 
+    def test_negative_n_checked(self):
+        with pytest.raises(ValueError, match="at least 0"):
+            DeltaProfile(-1, None, None, ())
+
     def test_low_k_must_vanish(self):
         with pytest.raises(ValueError, match="k < 2"):
             DeltaProfile(n=2, odd_counts=None, even_counts=None, delta=(0, 1, 0))

@@ -6,7 +6,7 @@ from math import comb
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reference_census, reference_delta, reference_plan
+from reference import census_cover_count, reference_census, reference_delta, reference_plan
 
 from oed import (
     CapError,
@@ -61,26 +61,59 @@ def scattered_graphs(draw, m_max=14):
 
 
 @st.composite
+def connected_pieces(draw, max_size=10):
+    """(size, edges): a random tree on 2 to max_size vertices plus up to size other edges."""
+    size = draw(st.integers(min_value=2, max_value=max_size))
+    piece = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, size)]
+    others = [(u, v) for v in range(size) for u in range(v) if (u, v) not in piece]
+    if others:
+        piece += draw(st.lists(st.sampled_from(others), unique=True, max_size=size))
+    return size, piece
+
+
+def side_by_side(pieces, n=0):
+    """(size, edges) pieces on consecutive ids from n: the vertex count and the edges."""
+    pairs: list[tuple[int, int]] = []
+    for size, piece in pieces:
+        pairs.extend((u + n, v + n) for u, v in piece)
+        n += size
+    return n, pairs
+
+
+@st.composite
 def connected_unions(draw, m_max=80):
     """Random connected pieces side by side, then isolated vertices.
 
-    Each piece is a random tree on 2-10 vertices plus up to as many other
-    edges as it has vertices; pieces stop before the edges pass m_max, far
-    past the 2^m reference census.
+    Each piece is from ``connected_pieces``; pieces stop before the edges
+    pass m_max, far past the 2^m reference census.
     """
-    pairs: list[tuple[int, int]] = []
-    n = 0
-    for size in draw(st.lists(st.integers(min_value=2, max_value=10), max_size=10)):
-        piece = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, size)]
-        others = [(u, v) for v in range(size) for u in range(v) if (u, v) not in piece]
-        if others:
-            piece += draw(st.lists(st.sampled_from(others), unique=True, max_size=size))
-        if len(pairs) + len(piece) > m_max:
+    pieces, m = [], 0
+    for size, piece in draw(st.lists(connected_pieces(), max_size=10)):
+        if m + len(piece) > m_max:
             break
-        pairs.extend((u + n, v + n) for u, v in piece)
-        n += size
+        pieces.append((size, piece))
+        m += len(piece)
+    n, pairs = side_by_side(pieces)
     n += draw(st.integers(min_value=0, max_value=5))
     return Graph.from_edges(n, pairs)
+
+
+@st.composite
+def wide_unions(draw):
+    """20-60 small pieces, some repeated, beside a prism or path, under shuffled labels.
+
+    The pieces are drawn from a pool of at most six, so at least one
+    occurs four times or more; the prism (60-100 rungs) or path (200-400
+    vertices) takes the union a few hundred edges past gray's reach.
+    """
+    pool = draw(st.lists(connected_pieces(max_size=6), min_size=1, max_size=6))
+    pieces = draw(st.lists(st.sampled_from(pool), min_size=20, max_size=60))
+    prisms = st.integers(min_value=30, max_value=50).map(lambda r: gen_family("prism", 2 * r))
+    paths = st.integers(min_value=200, max_value=400).map(lambda s: gen_family("path", s))
+    big = draw(st.one_of(prisms, paths))
+    n, pairs = side_by_side(pieces, big.n)
+    g = Graph.from_edges(n + draw(st.integers(min_value=0, max_value=3)), [*big.edges, *pairs])
+    return relabelled(g, draw(st.integers()))
 
 
 def relabelled(g, seed):
@@ -354,3 +387,19 @@ class TestCoverInvariants:
     @settings(max_examples=50)
     def test_isolated_vertices_scale_by_powers_of_two(self, g, t):
         assert vc_count_reduction(add_isolated(g, t)) == vc_count_reduction(g) << t
+
+
+class TestCountChecksTheCensus:
+    """Past gray's 62 edges, the paper's identity checks the census against ``count``.
+
+    ``vc_count_reduction`` shares ``_plan`` and ``_vertex_sums`` with the DP
+    engines but forms no polynomial product, so 2^n - sum_k delta_k 2^(n-k)
+    checks ``_product`` at sizes no oracle reaches.
+    """
+
+    @given(wide_unions())
+    @settings(max_examples=40, deadline=None)
+    def test_census_gives_the_count(self, g):
+        count = vc_count_reduction(g)
+        assert census_cover_count(delta_by_components(g)) == count
+        assert census_cover_count(delta_frontier(g)) == count

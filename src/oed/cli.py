@@ -15,7 +15,8 @@ not admit exits 2 with one ``oed: error:`` line, and ``-h`` prints the
 usage the table gives. ``delta`` and ``count`` write their JSON and CSV
 directly, so neither loads a JSON, CSV or argument-parsing module.
 ``delta`` writes a profile in pieces of about WRITE_BYTES of text, so a
-write holds a few thousand short counts or a few dozen wide ones.
+write holds a few thousand short counts or a few dozen wide ones; ``gen``
+writes its edge list the same way.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .covers import (
 )
 from .delta import ENGINES, DeltaProfile
 from .errors import CapError, EngineDisagreement, ParseError
-from .graph import FAMILY_NAMES, gen_family, load_graph, to_edge_list
+from .graph import FAMILY_NAMES, gen_family, load_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -53,14 +54,13 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_batches(count: int, render, sep: str = "") -> None:
-    """Write ``render(start, stop)`` for consecutive ranges of [0, count), ``sep`` between them.
+def _write_batches(write, count: int, render, sep: str = "") -> None:
+    """``write(render(start, stop))`` for consecutive ranges of [0, count), ``sep`` between them.
 
     A batch takes as many entries as fitted WRITE_BYTES of text in the one
     before, and at most twice as many, starting from 16: it overshoots only
     as far as its entries widen.
     """
-    write = sys.stdout.write
     start, size = 0, 16
     while True:
         stop = min(start + size, count)
@@ -85,7 +85,7 @@ def _write_json_profile(profile: DeltaProfile) -> None:
             write(f'  "{key}": null{end}')
             continue
         write(f'  "{key}": [\n    "')
-        _write_batches(len(values), lambda a, b, v=values: sep.join(map(str, v[a:b])), sep)
+        _write_batches(write, len(values), lambda a, b, v=values: sep.join(map(str, v[a:b])), sep)
         write(f'"\n  ]{end}')
     write("}\n")
 
@@ -99,12 +99,13 @@ def _write_csv_profile(profile: DeltaProfile) -> None:
         counts = repeat(("", "")) if odd is None else zip(odd[a:b], even[a:b])
         return "".join(f"{k},{o},{e},{d}\n" for k, (o, e), d in zip(range(a, b), counts, delta[a:b]))
 
-    _write_batches(len(delta), rows)
+    _write_batches(sys.stdout.write, len(delta), rows)
 
 
 def cmd_delta(args: SimpleNamespace) -> int:
-    g = load_graph(args.input)
-    profile = ENGINES[args.engine](g)
+    # The graph is held by the engine alone, which can free it before the
+    # profile is written.
+    profile = ENGINES[args.engine](load_graph(args.input))
     if args.format == "json":
         _write_json_profile(profile)
     else:
@@ -150,14 +151,20 @@ def cmd_verify(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
+def _write_edge_list(write, g) -> None:
+    """``to_edge_list(g)``, written in batches of about WRITE_BYTES."""
+    edges = g.edges
+    write(f"{g.n} {g.m}\n")
+    _write_batches(write, len(edges), lambda a, b: "".join(f"{u} {v}\n" for u, v in edges[a:b]))
+
+
 def cmd_gen(args: SimpleNamespace) -> int:
     g = gen_family(args.family, args.size)
-    text = to_edge_list(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_edge_list(fh.write, g)
     else:
-        sys.stdout.write(text)
+        _write_edge_list(sys.stdout.write, g)
     return EXIT_OK
 
 

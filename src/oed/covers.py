@@ -74,6 +74,6 @@ def vc_count_reduction(g: Graph) -> int:
     so the count is the product of these sums shifted left by n - h, h the
     vertices with an edge.
     """
-    plan = _plan(g, False)
+    plan = _plan(g, False, product=False)
     count = prod(sum(_vertex_sums(steps, m, False)) for m, steps in plan)
     return count << (g.n - sum(len(steps) for _, steps in plan))

@@ -43,9 +43,8 @@ in-process and serially.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import reduce
 from heapq import heappop, heappush
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
 from operator import add, mul, sub
 
 from .errors import CapError, EngineDisagreement
@@ -107,14 +106,12 @@ class DeltaPolynomial(namedtuple("DeltaPolynomial", "coeffs")):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        width = len(a)
-        # One pass per coefficient of the shorter factor, each a C-level
-        # map over the longer one.
-        for j, bj in enumerate(b):
-            if bj:
-                out[j : j + width] = map(add, out[j : j + width], map(mul, a, repeat(bj)))
-        return DeltaPolynomial(tuple(out))
+        # Column k sums a_(k-j) b_j over the shorter factor's nonzero b_j,
+        # each row a C-level map over the longer one: every coefficient is
+        # formed once, and only the factors and the product are held.
+        rows = [chain(repeat(0, j), map(mul, a, repeat(bj))) for j, bj in enumerate(b) if bj]
+        out = tuple(map(sum, zip_longest(*rows, fillvalue=0)))
+        return DeltaPolynomial(out + (0,) * (len(a) + len(b) - 1 - len(out)))
 
 
 def w_polynomial(profile: DeltaProfile) -> DeltaPolynomial:
@@ -254,8 +251,13 @@ def delta_by_components(g: Graph) -> DeltaProfile:
     are marked not computed. Components with equal counts share one
     transform and one power in ``_product``.
     """
-    delta = _negate(list(_census(_plan(g, False), False)))
-    return DeltaProfile(n=g.n, odd_counts=None, even_counts=None, delta=_padded(g.n, delta))
+    n = g.n
+    plan = _plan(g, False)
+    del g  # freed here where the caller holds no other reference (see cmd_delta)
+    groups = _groups(plan, False)
+    del plan
+    delta = _negate(list(_product(groups).coeffs))
+    return DeltaProfile(n=n, odd_counts=None, even_counts=None, delta=_padded(n, delta))
 
 
 def _binomial_transform(c: tuple[int, ...]) -> DeltaPolynomial:
@@ -322,6 +324,17 @@ def _product(groups: Counter[tuple[int, ...]]) -> DeltaPolynomial:
     repeated = [(_binomial_transform(c), e) for c, e in bases.items() if len(c) > 1]
     if z:
         repeated.append((DeltaPolynomial((1, -1)), z))
+    product = _power(repeated)
+    for w in folds:
+        product = product * w
+    return product
+
+
+def _power(repeated: list[tuple[DeltaPolynomial, int]]) -> DeltaPolynomial:
+    """prod W_j^e_j over ``repeated``'s (W_j, e_j), by Miller's recurrence (see ``_product``).
+
+    Its lists are freed when it returns, before ``_product`` folds onto F.
+    """
     q, r = DeltaPolynomial((1,)), DeltaPolynomial(())
     for w, e in repeated:
         slope = DeltaPolynomial(tuple(i * e * c for i, c in enumerate(w.coeffs) if i))
@@ -336,10 +349,12 @@ def _product(groups: Counter[tuple[int, ...]]) -> DeltaPolynomial:
         if rest:
             raise EngineDisagreement("a power of component polynomials has a fractional coefficient")
         f.append(fk)
-    return reduce(mul, folds, DeltaPolynomial(tuple(f)))
+    return DeltaPolynomial(tuple(f))
 
 
-def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]:
+def _plan(
+    g: Graph, edges: bool, product: bool = True
+) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """(m_c, steps) for each component with an edge, in the DP's order.
 
     The vertex with the smallest ``growth`` key goes next: the fewest
@@ -365,11 +380,14 @@ def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]
     for the same ``edges``: h + m + 1 bits with ``edges``, the A pass,
     which bounds both passes of ``delta_frontier``. It is h + 1 bits
     without: the W pass alone, whose states are only the independent
-    subsets of the frontier, so 2^w bounds them. Folding a component into
-    the product over H earlier vertices costs 0.25 us * (H + 1)(h_c + 1).
-    That prices a fold over the components; ``_product`` raises repeated
-    factors to their powers more cheaply, so the term is an upper bound
-    when components repeat. Raises CapError once the running estimate,
+    subsets of the frontier, so 2^w bounds them. With ``product`` (the
+    engines, which multiply the components' polynomials), folding a
+    component into the product over H earlier vertices costs
+    0.25 us * (H + 1)(h_c + 1). That prices a fold over the components;
+    ``_product`` raises repeated factors to their powers more cheaply, so
+    the term is an upper bound when components repeat. Without it (the
+    cover count, which multiplies one int per component) the term is left
+    out. Raises CapError once the running estimate,
     with only the edges seen so far in the slot, passes DP_SECONDS or a
     step passes DP_BYTES.
     """
@@ -432,7 +450,8 @@ def _plan(g: Graph, edges: bool) -> list[tuple[int, list[tuple[int, int, int]]]]
             reads += size
             weighted += i * size
             estimate = seconds + 0.6e-6 * reads + 8e-9 * weighted * slot / 64
-            estimate += 0.25e-6 * (earlier + 1) * (i + 1)
+            if product:
+                estimate += 0.25e-6 * (earlier + 1) * (i + 1)
             nbytes = size * (i * slot // 4 + 150)
             if estimate > DP_SECONDS or nbytes > DP_BYTES:
                 raise CapError(
@@ -492,7 +511,14 @@ def _census(plan: list[tuple[int, list[tuple[int, int, int]]]], edges: bool) -> 
     The components' ``_vertex_sums`` go to ``_product`` grouped, equal
     counts being equal factors, and each group is transformed there once.
     """
-    return _product(Counter(_vertex_sums(steps, m, edges) for m, steps in plan)).coeffs
+    return _product(_groups(plan, edges)).coeffs
+
+
+def _groups(
+    plan: list[tuple[int, list[tuple[int, int, int]]]], edges: bool
+) -> Counter[tuple[int, ...]]:
+    """Each distinct ``_vertex_sums`` of the plan's components, with the number that share it."""
+    return Counter(_vertex_sums(steps, m, edges) for m, steps in plan)
 
 
 def delta_frontier(g: Graph) -> DeltaProfile:
@@ -509,7 +535,9 @@ def delta_frontier(g: Graph) -> DeltaProfile:
     O + W, and W is negated into delta in place, so at most three arrays
     of counts are held at once.
     """
+    n = g.n
     plan = _plan(g, True)
+    del g
     p = _census(plan, True)
     w = list(_census(plan, False))
     del plan
@@ -517,7 +545,7 @@ def delta_frontier(g: Graph) -> DeltaProfile:
     del p
     even = [0, *map(add, odd[1:], w[1:])]  # E_k = O_k + W_k
     delta = _negate(w)
-    return DeltaProfile(g.n, _padded(g.n, odd), _padded(g.n, even), _padded(g.n, delta))
+    return DeltaProfile(n, _padded(n, odd), _padded(n, even), _padded(n, delta))
 
 
 ENGINES = {

@@ -9,8 +9,9 @@ bit i of a mask always refers to ``graph.edges[i]``.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from collections.abc import Iterable
-from itertools import combinations, product
+from collections.abc import Iterable, Iterator
+from itertools import chain, combinations, islice, product
+from operator import eq
 
 from .errors import CapError, GraphError, ParseError
 
@@ -44,23 +45,33 @@ class Graph(namedtuple("Graph", "n edges")):
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from unordered endpoint pairs, validating simplicity."""
+        """Build a graph from unordered endpoint pairs, validating simplicity.
+
+        The pairs are read in one pass, and a pair that is already an
+        ordered tuple is kept, not copied. Duplicates show as equal
+        neighbours once the edges are sorted; the input is searched for the
+        first of them only when there is one.
+        """
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
-        seen: set[tuple[int, int]] = set()
         edges: list[tuple[int, int]] = []
-        for u, v in pairs:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+        for pair in pairs:
+            u, v = pair
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                _check_duplicates(edges)  # an earlier duplicate is reported first
+                if u == v:
+                    raise GraphError(f"self-loop at vertex {u}")
                 raise GraphError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
-            edges.append(e)
-        edges.sort()
-        return cls(n, tuple(edges))
+            if u > v:
+                pair = (v, u)
+            elif type(pair) is not tuple:
+                pair = (u, v)
+            edges.append(pair)
+        ordered = sorted(edges)
+        if any(map(eq, ordered, islice(ordered, 1, None))):
+            _check_duplicates(edges)
+        del edges
+        return cls(n, tuple(ordered))
 
     def endpoints(self) -> set[int]:
         """The vertices with an edge, i.e. every vertex that is not isolated."""
@@ -86,6 +97,15 @@ class IsolatedSplit(namedtuple("IsolatedSplit", "stripped relabel_map")):
     __slots__ = ()
 
 
+def _check_duplicates(edges: list[tuple[int, int]]) -> None:
+    """Raise GraphError for the first edge in ``edges`` that repeats an earlier one."""
+    seen: set[tuple[int, int]] = set()
+    for e in edges:
+        if e in seen:
+            raise GraphError(f"duplicate edge {e}")
+        seen.add(e)
+
+
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
@@ -107,22 +127,43 @@ def parse_edge_list(text: str | bytes) -> Graph:
     MAX_TOKEN_CHARS characters.
     """
     if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from None
-    significant: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        significant.append((lineno, line))
-    if not significant:
+        text = _decode(text)
+    lines = _lines(text)
+    first = next(lines, None)
+    if first is None:
         raise ParseError("no header line found (input is empty or all comments)")
-    first = significant[0][1]
-    if first[0] in ("p", "c") and (len(first) == 1 or first[1].isspace()):
-        return _parse(_DIMACS, significant)
-    return _parse(_NATIVE, significant)
+    line = first[1]
+    dimacs = line[0] in ("p", "c") and (len(line) == 1 or line[1].isspace())
+    return _parse(_DIMACS if dimacs else _NATIVE, chain((first,), lines))
+
+
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+
+
+# Characters of input split into lines at a time.
+_BLOCK_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is not blank and does not start with '#'.
+
+    The lines are those of ``text.splitlines()``, split a block of about
+    _BLOCK_CHARS at a time, so no list of every line is held. A block ends
+    just after a '\\n', which ends a line whatever comes before it ('\\r\\n'
+    is one line end), so no line is cut.
+    """
+    lineno = start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        for lineno, raw in enumerate(text[start:stop].splitlines(), lineno + 1):
+            line = raw.strip()
+            if line and line[0] != "#":
+                yield lineno, line
+        start = stop
 
 
 # The two input formats, one row each: the tokens before "n m" on the
@@ -157,14 +198,21 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise ParseError(f"line {lineno}: {what} {_quote(token)} is not an integer") from None
 
 
-def _parse(fmt: tuple, lines: list[tuple[int, str]]) -> Graph:
+def _parse(fmt: tuple, lines: Iterator[tuple[int, str]]) -> Graph:
+    """The graph of ``lines``, read once; errors are raised in order of rank.
+
+    Header errors come first. Then an extra line or too few edge lines,
+    then the first bad edge line (malformed, a long token, an id out of
+    range, a self-loop), then the first duplicate. An edge line's error is
+    kept until the lines are counted.
+    """
     header_tags, tag, base, c_comments, header_shape, edge_shape, id_range = fmt
-    if c_comments:
-        lines = [(lineno, line) for lineno, line in lines if line.split()[0] != "c"]
-        if not lines:
-            raise ParseError("no 'p edge' header line found in DIMACS input")
-    lineno, header = lines[0]
-    parts = header.split()
+    for lineno, header in lines:
+        parts = header.split()
+        if not (c_comments and parts[0] == "c"):
+            break
+    else:
+        raise ParseError("no 'p edge' header line found in DIMACS input")
     skip = len(header_tags)
     if len(parts) != skip + 2 or parts[:skip] != list(header_tags):
         raise ParseError(
@@ -175,42 +223,55 @@ def _parse(fmt: tuple, lines: list[tuple[int, str]]) -> Graph:
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: header counts must be nonnegative")
     _check_vertex_count(n)
-    body = lines[1:]
-    if len(body) < m:
-        raise ParseError(f"edge count mismatch: header declares {m} edges, found {len(body)}")
-    if len(body) > m:
-        raise ParseError(f"line {body[m][0]}: unexpected extra line, header declares {m} edges")
     skip = 1 if tag else 0
     width = skip + 2
+    found = 0  # edge lines read
+    error = None  # the first bad edge line's exception
     seen: dict[tuple[int, int], int] = {}  # edge -> line of its first occurrence
     duplicate = ""
-    for lineno, line in body:
+    for lineno, line in lines:
         parts = line.split()
-        if len(parts) != width or (tag and parts[0] != tag):
-            raise ParseError(
-                f"line {lineno}: malformed edge line {_quote(line)}, expected '{edge_shape}'"
-            )
+        if c_comments and parts[0] == "c":
+            continue
+        if found == m:
+            raise ParseError(f"line {lineno}: unexpected extra line, header declares {m} edges")
+        found += 1
+        if error is not None:
+            continue
         try:
-            # A line this short holds no token too long for int(); any
-            # other line, or a bad token, goes through _parse_int's checks.
-            if len(line) > MAX_TOKEN_CHARS:
-                raise ValueError
-            u = int(parts[skip]) - base
-            v = int(parts[skip + 1]) - base
-        except ValueError:
-            u = _parse_int(parts[skip], lineno, "vertex id") - base
-            v = _parse_int(parts[skip + 1], lineno, "vertex id") - base
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"line {lineno}: vertex id out of range {id_range.format(n)}")
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop at vertex {u + base}")
+            if len(parts) != width or (tag and parts[0] != tag):
+                raise ParseError(
+                    f"line {lineno}: malformed edge line {_quote(line)}, expected '{edge_shape}'"
+                )
+            try:
+                # A line this short holds no token too long for int(); any
+                # other line, or a bad token, goes through _parse_int's checks.
+                if len(line) > MAX_TOKEN_CHARS:
+                    raise ValueError
+                u = int(parts[skip]) - base
+                v = int(parts[skip + 1]) - base
+            except ValueError:
+                u = _parse_int(parts[skip], lineno, "vertex id") - base
+                v = _parse_int(parts[skip + 1], lineno, "vertex id") - base
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"line {lineno}: vertex id out of range {id_range.format(n)}")
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop at vertex {u + base}")
+        except (ParseError, CapError) as exc:
+            error = exc
+            continue
         first = seen.setdefault((u, v) if u < v else (v, u), lineno)
         if first != lineno and not duplicate:
             duplicate = f"line {lineno}: duplicate edge ({u}, {v}), first seen on line {first}"
-    # A malformed line anywhere outranks a duplicate, so it is raised last.
+    if found < m:
+        raise ParseError(f"edge count mismatch: header declares {m} edges, found {found}")
+    if error is not None:
+        raise error
     if duplicate:
         raise ParseError(duplicate)
-    return Graph(n, tuple(sorted(seen)))
+    edges = sorted(seen)
+    del seen
+    return Graph(n, tuple(edges))
 
 
 def to_edge_list(g: Graph) -> str:
@@ -223,7 +284,8 @@ def to_edge_list(g: Graph) -> str:
 def load_graph(path) -> Graph:
     """Read and parse a graph file."""
     with open(path, "rb") as fh:
-        return parse_edge_list(fh.read())
+        # Decoded apart, so the bytes are freed before the text is parsed.
+        return parse_edge_list(_decode(fh.read()))
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +351,20 @@ def gen_family(name: str, size: int | None = None) -> Graph:
 # for a size. A prism needs an even cycle length: an odd one gives odd
 # cycles, breaking bipartiteness.
 _FAMILIES = {
-    "path": (1, False, lambda s: (s, s - 1), lambda s: [(i, i + 1) for i in range(s - 1)]),
-    "cycle": (3, False, lambda s: (s, s), lambda s: [(i, (i + 1) % s) for i in range(s)]),
+    "path": (1, False, lambda s: (s, s - 1), lambda s: ((i, i + 1) for i in range(s - 1))),
+    "cycle": (3, False, lambda s: (s, s), lambda s: ((i, (i + 1) % s) for i in range(s))),
     "complete": (1, False, lambda s: (s, s * (s - 1) // 2), lambda s: combinations(range(s), 2)),
     "complete_bipartite": (
         1, False, lambda s: (2 * s, s * s), lambda s: product(range(s), range(s, 2 * s))
     ),
-    "star": (1, False, lambda s: (s, s - 1), lambda s: [(0, i) for i in range(1, s)]),
+    "star": (1, False, lambda s: (s, s - 1), lambda s: ((0, i) for i in range(1, s))),
     "prism": (
         4,
         True,
         lambda s: (2 * s, 3 * s),
-        lambda s: [
+        lambda s: (
             p for i in range(s) for p in ((i, (i + 1) % s), (s + i, s + (i + 1) % s), (i, s + i))
-        ],
+        ),
     ),
 }
 

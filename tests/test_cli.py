@@ -31,6 +31,18 @@ TOKEN_TAIL = f"characters, at most {MAX_TOKEN_CHARS} are supported\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def str_of(value: int) -> str:
+    """str(value) at any length: the int-to-str digit limit, where there is one, is lifted."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is None:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.fixture
 def k3_file(tmp_path):
     path = tmp_path / "k3.txt"
@@ -393,6 +405,20 @@ class TestExitCodes:
         assert main(["delta", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 12
         assert_over_work_cap(tmp_path, capsys, "frontier")
+
+    def test_count_prices_no_product(self, tmp_path, capsys):
+        # count multiplies one int per component and forms no W product, so
+        # the matching that the engines refuse for their folds is counted.
+        path = tmp_path / "matching20000.txt"
+        path.write_text(OVER_WORK_CAP["matching20000"])
+        assert main(["count", "--input", str(path)]) == 0
+        count = json.loads(capsys.readouterr().out)["count"]
+        assert len(count) == 9543 and count == str_of(3**20000)
+        assert main(["delta", "--input", str(path), "--engine", "components"]) == 3
+        assert capsys.readouterr().err == (
+            "oed: error: census DP estimated at 60.0 s and 0 MiB or more,"
+            " at most 60 s and 512 MiB are supported\n"
+        )
 
     def test_vertex_cap_exit_3(self, tmp_path, capsys):
         g = gen_family("path", 30)

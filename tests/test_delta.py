@@ -390,13 +390,13 @@ class TestPooledPowers:
         assert all(min(pair) <= 10 for pair in lengths)
 
 
-def traced_peak(engine, g) -> tuple[DeltaProfile, int]:
-    """The engine's profile of g and the peak bytes it traced, after one untraced warm-up call."""
-    engine(g)
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it traced, after one untraced warm-up call."""
+    fn(*args)
     tracemalloc.start()
     try:
-        profile = engine(g)
-        return profile, tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -417,6 +417,33 @@ class TestEngineCopies:
         profile, peak = traced_peak(delta_frontier, triangles(1000))
         # Holding P and W beside the three arrays would peak at about 1.8 times their ints.
         assert peak < 1.4 * int_bytes(profile.odd_counts, profile.even_counts, profile.delta)
+
+    def test_product_folds_hold_f_and_one_output(self):
+        groups = wide_groups(1)
+        once = sum(e == 1 for e in groups.values())
+        repeated = sum(e >= 3 for e in groups.values())
+        assert once >= 8 and repeated >= 3
+        product, peak = traced_peak(_product, groups)
+        # Folds that build each new slice beside the old one and F peak at
+        # about 4.2 times the product's ints.
+        assert peak < 2.3 * int_bytes(product.coeffs)
+
+
+def wide_groups(seed: int) -> Counter[tuple[int, ...]]:
+    """The W-pass counts of 200 seeded random connected graphs of 8 vertices and 12 edges.
+
+    The shape of the benchmark's many-component graph: a few count vectors
+    that many components share, and several seen once.
+    """
+    rng = random.Random(seed)
+    groups: Counter[tuple[int, ...]] = Counter()
+    for _ in range(200):
+        edges = {(rng.randrange(v), v) for v in range(1, 8)}  # a random spanning tree
+        while len(edges) < 12:
+            edges.add(tuple(sorted(rng.sample(range(8), 2))))
+        (m, steps), = _plan(Graph.from_edges(8, sorted(edges)), False)
+        groups[oed.delta._vertex_sums(steps, m, False)] += 1
+    return groups
 
 
 class TestProductExactnessChecks:

@@ -1,10 +1,14 @@
 """Graph construction, parsing, generators, and components."""
 
+import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 from reference import reference_two_colouring
 
+import oed.graph
 from oed import (
     CapError,
     Graph,
@@ -20,6 +24,7 @@ from oed import (
     strip_isolated,
     to_edge_list,
 )
+from oed.cli import main
 from oed.graph import _FAMILIES, MAX_TOKEN_CHARS
 
 
@@ -158,6 +163,73 @@ class TestParsing:
         path = tmp_path / "g.txt"
         path.write_text("2 1\n0 1\n")
         assert load_graph(path).m == 1
+
+
+def parse_error(text: str) -> Exception:
+    """The exception parse_edge_list raises on ``text``."""
+    with pytest.raises((ParseError, CapError)) as info:
+        parse_edge_list(text)
+    return info.value
+
+
+class TestParseErrorPrecedence:
+    """Header, then the edge count, then the first bad edge line, then the first duplicate."""
+
+    def test_count_mismatch_outranks_a_malformed_line(self):
+        error = parse_error("3 3\n0 1\nx y\n")
+        assert str(error) == "edge count mismatch: header declares 3 edges, found 2"
+
+    def test_count_mismatch_outranks_a_long_token(self, tmp_path, capsys):
+        # A long token is a CapError (exit 3); the mismatch is a ParseError (exit 2).
+        text = "3 3\n0 1\n0 " + "1" * (MAX_TOKEN_CHARS + 8) + "\n"
+        error = parse_error(text)
+        assert type(error) is ParseError
+        assert str(error) == "edge count mismatch: header declares 3 edges, found 2"
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert main(["count", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("oed: error: edge count mismatch")
+
+    def test_extra_line_outranks_a_malformed_line(self):
+        error = parse_error("3 2\nx\n0 1\n1 2\n")
+        assert str(error) == "line 4: unexpected extra line, header declares 2 edges"
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["0 5", "0 0"], "line 2: vertex id out of range [0, 3)"),
+            (["0 0", "0 5"], "line 2: self-loop at vertex 0"),
+            (["0 1", "x", "0 9"], "line 3: malformed edge line 'x', expected 'u v'"),
+            (["0 1", "0 x", "0 0"], "line 3: vertex id 'x' is not an integer"),
+            (["0 1", "0 " + "1" * 40, "x"], f"line 3: vertex id '{'1' * 40}' has 40 characters"),
+        ],
+    )
+    def test_first_bad_line_in_line_order(self, lines, message):
+        error = parse_error(f"3 {len(lines)}\n" + "\n".join(lines) + "\n")
+        assert str(error).startswith(message)
+
+    def test_malformed_line_after_a_duplicate_outranks_it(self):
+        error = parse_error("3 3\n0 1\n1 0\nx\n")
+        assert str(error) == "line 4: malformed edge line 'x', expected 'u v'"
+
+    def test_first_duplicate_reported(self):
+        error = parse_error("3 4\n0 1\n1 2\n2 1\n1 0\n")
+        assert str(error) == "line 4: duplicate edge (2, 1), first seen on line 3"
+
+    def test_comment_lines_keep_line_numbers(self):
+        error = parse_error("c one\np edge 3 2\nc two\ne 1 2\n# three\n\ne 2 2\n")
+        assert str(error) == "line 7: self-loop at vertex 2"
+        error = parse_error("# one\n3 2\n# two\n0 1\n\n# three\n1 1\n")
+        assert str(error) == "line 7: self-loop at vertex 1"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\f", "\n\r"])
+    def test_line_ends_keep_line_numbers(self, end):
+        lines = ["3 3", "0 1", "# c", "", "1 2", "2 2"]
+        error = parse_error(end.join(lines) + end)
+        # "\n\r" is two line ends, except where a blank line makes "\n\r\n\r":
+        # its middle "\r\n" is one.
+        lineno = 10 if end == "\n\r" else 6
+        assert str(error) == f"line {lineno}: self-loop at vertex 2"
 
 
 class TestStripIsolated:
@@ -305,3 +377,54 @@ class TestCombinators:
         g = add_isolated(k3, 2)
         assert g.n == 5
         assert g.edges == k3.edges
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it traced, after one untraced warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def graph_bytes(g: Graph) -> int:
+    """Bytes of a graph's edge tuple, its pairs and their ints, each object counted once."""
+    objects = {id(x): x for e in g.edges for x in (e, *e)}
+    return sys.getsizeof(g.edges) + sum(map(sys.getsizeof, objects.values()))
+
+
+class TestCopies:
+    """Parsing and generating hold about one copy of the edges they return."""
+
+    def test_parse_holds_no_list_of_lines(self):
+        rng = random.Random(1)
+        edges = set()
+        while len(edges) < 2400:
+            edges.add(tuple(sorted(rng.sample(range(2800), 2))))
+        lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in edges]
+        rng.shuffle(lines)
+        text = "# 2,400 random edges\n2800 2400\n" + "\n".join(lines) + "\n"
+        g, peak = traced_peak(parse_edge_list, text)
+        assert g.m == 2400
+        # A list of every significant line beside the lines peaked at 2.3 times.
+        assert peak < 1.8 * graph_bytes(g)
+
+    def test_generator_holds_each_pair_once(self):
+        g, peak = traced_peak(gen_family, "prism", 20000)
+        # A list of the pairs, a copy of each and a set of them peaked at 2.0 times.
+        assert peak < 1.3 * graph_bytes(g)
+
+    @pytest.mark.parametrize("block", range(1, 12))
+    def test_lines_split_in_blocks_as_by_splitlines(self, monkeypatch, block):
+        # The parser splits its input a block at a time; a block of any size
+        # must give the lines, and so the line numbers, of str.splitlines.
+        ends = ["\r\n", "\r", "\n", "\f", "\n\r", "\x85", "\u2028"]
+        lines = ["# c", "6 8", "", "0 1", "1 2", "# 2 3", "2 3", "3 4", "4 5", "0 5", "1 4", "0 0"]
+        text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        expected = 1 + text.splitlines().index("0 0")
+        monkeypatch.setattr(oed.graph, "_BLOCK_CHARS", block)
+        assert str(parse_error(text)) == f"line {expected}: self-loop at vertex 0"
+        assert parse_edge_list(text.replace("0 0", "2 5")).m == 8

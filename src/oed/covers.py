@@ -14,9 +14,10 @@ The count is computed by
   with W(x) = 1 - D(x) the product of the components' polynomials. A
   component's W_c(x) = (1-x)^h_c I_c(x / (1-x)), I_c its independence
   polynomial sum_t B_t x^t on h_c vertices, so W_c(1/2) = 2^-h_c sum_t B_t
-  and the count is 2^(isolated) * prod_c sum_t B_t: the census's own W
-  pass, summed, with no product of polynomials formed. An isolated
-  vertex adds no factor to W and one factor of 2 through 2^n.
+  and the count is 2^(isolated) * prod_c sum_t B_t. Each sum_t B_t = I_c(1)
+  is the census's own W pass run at slot 0, where it returns the total
+  and no coefficient is packed; no product of polynomials is formed. An
+  isolated vertex adds no factor to W and one factor of 2 through 2^n.
 
 All arithmetic is integer end to end; counts are exact at any size the
 caps admit. The oracles are deliberately plain subset scans, structurally
@@ -70,10 +71,11 @@ def independent_set_count(g: Graph) -> int:
 def vc_count_reduction(g: Graph) -> int:
     """Cover count via the census: 2^n * W(1/2), exactly.
 
-    Each component's W pass gives its B_t, and 2^h_c * W_c(1/2) = sum_t B_t,
-    so the count is the product of these sums shifted left by n - h, h the
-    vertices with an edge.
+    2^h_c * W_c(1/2) = sum_t B_t, the component's number of independent
+    sets, which its W pass returns at slot 0. The count is the product of
+    these totals shifted left by n - h, h the vertices with an edge. The
+    plan is priced as the graded W pass, so its price bounds this pass.
     """
     plan = _plan(g, False, product=False)
-    count = prod(sum(_vertex_sums(steps, m, False)) for m, steps in plan)
+    count = prod(_vertex_sums(steps, 0, False) for _, steps in plan)
     return count << (g.n - sum(len(steps) for _, steps in plan))

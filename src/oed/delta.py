@@ -23,15 +23,17 @@ Four interchangeable engines compute the census:
                         independent sets, multiplying only the component
                         polynomials W(x) = 1 - D(x). Returns delta only.
 
-Both DP engines compute each polynomial by ``_census``: one pass of
-``_vertex_sums`` per component, and one product (``_product``) of the
-binomial transforms of these counts. Components often repeat their
-counts, and each distinct count vector is transformed once. A factor
-that repeats is raised to its power by a recurrence in one pass, and one
-that occurs once or twice is folded in. Trailing zeros of the counts are
-factors (1 - x): those of repeated counts pool into one power, which
-roughly halves the recurrence's work on repeated W_c, and those of a
-folded factor join the pool only where that makes its fold cheaper.
+Both DP engines compute each polynomial from one pass of
+``_vertex_sums`` per component, which returns one int: the component's
+size polynomial at y = 2^slot. ``_groups`` reads the counts out of it at
+a slot wide enough that none carries, and ``_product`` multiplies their
+binomial transforms. Components often repeat their counts, and each
+distinct count vector is transformed once. A factor that repeats is
+raised to its power by a recurrence in one pass, and one that occurs
+once or twice is folded in. Trailing zeros of the counts are factors
+(1 - x): those of repeated counts pool into one power, which roughly
+halves the recurrence's work on repeated W_c, and those of a folded
+factor join the pool only where that makes its fold cheaper.
 
 The enumeration engines refuse more than EDGE_CAP edges. The DP's cost
 grows with the frontier width, not with 2^m; it is estimated before the
@@ -275,7 +277,7 @@ def _binomial_transform(c: tuple[int, ...]) -> DeltaPolynomial:
 def _product(groups: Counter[tuple[int, ...]]) -> DeltaPolynomial:
     """The product of W = sum_t c_t x^t (1-x)^(h-t), h = len(c) - 1, over ``groups``.
 
-    Each key c is a component's ``_vertex_sums`` (c_0 = 1, so W(0) = 1),
+    Each key c is a component's counts from ``_groups`` (c_0 = 1, so W(0) = 1),
     its value the number of components that share it; equal counts are
     equal factors, so each is transformed once. A vector with z trailing
     zeros gives (1 - x)^z times the transform of the rest, whose value at
@@ -376,20 +378,21 @@ def _plan(
     64-bit words. ``_vertex_sums`` holds one int per state, so the byte
     term reads about twice the measured peak where the state table
     dominates, as on complete graphs; it is left as it is because it
-    decides which graphs are refused. The slot is that of ``_vertex_sums``
-    for the same ``edges``: h + m + 1 bits with ``edges``, the A pass,
-    which bounds both passes of ``delta_frontier``. It is h + 1 bits
-    without: the W pass alone, whose states are only the independent
-    subsets of the frontier, so 2^w bounds them. With ``product`` (the
-    engines, which multiply the components' polynomials), folding a
-    component into the product over H earlier vertices costs
-    0.25 us * (H + 1)(h_c + 1). That prices a fold over the components;
-    ``_product`` raises repeated factors to their powers more cheaply, so
-    the term is an upper bound when components repeat. Without it (the
-    cover count, which multiplies one int per component) the term is left
-    out. Raises CapError once the running estimate,
-    with only the edges seen so far in the slot, passes DP_SECONDS or a
-    step passes DP_BYTES.
+    decides which graphs are refused. The slot is that of ``_groups`` for
+    the same ``edges``: h + m + 1 bits with ``edges``, the A pass, which
+    bounds both passes of ``delta_frontier``. It is h + 1 bits without:
+    the W pass alone, whose states are only the independent subsets of
+    the frontier, so 2^w bounds them. ``vc_count_reduction`` runs the W
+    pass at slot 0, one int of about h bits per state, so its price is
+    an upper bound. With ``product`` (the engines, which multiply the
+    components' polynomials), folding a component into the product over
+    H earlier vertices costs 0.25 us * (H + 1)(h_c + 1). That prices a
+    fold over the components; ``_product`` raises repeated factors to
+    their powers more cheaply, so the term is an upper bound when
+    components repeat. Without it (the cover count, which multiplies one
+    int per component) the term is left out. Raises CapError once the
+    running estimate, with only the edges seen so far in the slot, passes
+    DP_SECONDS or a step passes DP_BYTES.
     """
     adjacency: dict[int, list[int]] = {}  # the neighbours of each vertex with an edge
     for u, v in g.edges:
@@ -469,20 +472,17 @@ def _plan(
     return plan
 
 
-def _vertex_sums(steps: list[tuple[int, int, int]], m: int, edges: bool) -> tuple[int, ...]:
-    """Sums by size t = 0..h_c over the vertex subsets T of one component.
+def _vertex_sums(steps: list[tuple[int, int, int]], slot: int, edges: bool) -> int:
+    """One component's sum_t c_t y^t at y = 2^slot, as one int.
 
-    With ``edges`` sums 2^e(T) (A_t, e(T) being the edges inside T), and
-    without counts independent sets (B_t). The DP runs along the
-    component's steps of ``_plan``; a state is which frontier vertices are
-    in T, and holds one int with coefficient t in bits [t*slot,
-    (t+1)*slot). A vertex joining T shifts a state by slot plus its c
-    edges to T; for B_t it joins only where c = 0, so the states are the
-    independent subsets of the frontier. The slot is h_c + m_c + 1 bits
-    with ``edges``, for A_t < C(h_c, t) * 2^m_c, and h_c + 1 without, so
-    no coefficient carries.
+    With ``edges`` c_t is A_t, the sum of 2^e(T) over its t-vertex subsets
+    T, e(T) being the edges inside T; without, it is B_t, the number of
+    independent T. The DP runs along the component's steps of ``_plan``; a
+    state is which frontier vertices are in T, and holds one int. A vertex
+    joining T shifts a state by slot plus its c edges to T; for B_t it
+    joins only where c = 0, so the states are the independent subsets of
+    the frontier. At slot 0 the int is the plain total sum_t c_t.
     """
-    slot = len(steps) + 1 + (m if edges else 0)
     states = {0: 1}
     for inner, drop, vbit in steps:
         nxt: dict[int, int] = {}
@@ -500,25 +500,26 @@ def _vertex_sums(steps: list[tuple[int, int, int]], m: int, edges: bool) -> tupl
             prev = nxt.get(key)
             nxt[key] = a if prev is None else prev + a
         states = nxt
-    total = states[0]
-    low = (1 << slot) - 1
-    return tuple(total >> (t * slot) & low for t in range(len(steps) + 1))
-
-
-def _census(plan: list[tuple[int, list[tuple[int, int, int]]]], edges: bool) -> tuple[int, ...]:
-    """Coefficients of prod P_c over the plan's components, or of prod W_c without ``edges``.
-
-    The components' ``_vertex_sums`` go to ``_product`` grouped, equal
-    counts being equal factors, and each group is transformed there once.
-    """
-    return _product(_groups(plan, edges)).coeffs
+    return states[0]
 
 
 def _groups(
     plan: list[tuple[int, list[tuple[int, int, int]]]], edges: bool
 ) -> Counter[tuple[int, ...]]:
-    """Each distinct ``_vertex_sums`` of the plan's components, with the number that share it."""
-    return Counter(_vertex_sums(steps, m, edges) for m, steps in plan)
+    """Each distinct count vector (A_t, or B_t without ``edges``) of the plan's components.
+
+    Its value is the number of components that share it, so ``_product``
+    transforms each once. A component's ``_vertex_sums`` holds coefficient t
+    in bits [t*slot, (t+1)*slot); the slot is h_c + m_c + 1 bits with
+    ``edges``, for A_t < C(h_c, t) * 2^m_c, and h_c + 1 without, so no
+    coefficient carries.
+    """
+    groups: Counter[tuple[int, ...]] = Counter()
+    for m, steps in plan:
+        slot = len(steps) + 1 + (m if edges else 0)
+        total, low = _vertex_sums(steps, slot, edges), (1 << slot) - 1
+        groups[tuple(total >> (t * slot) & low for t in range(len(steps) + 1))] += 1
+    return groups
 
 
 def delta_frontier(g: Graph) -> DeltaProfile:
@@ -538,8 +539,8 @@ def delta_frontier(g: Graph) -> DeltaProfile:
     n = g.n
     plan = _plan(g, True)
     del g
-    p = _census(plan, True)
-    w = list(_census(plan, False))
+    p = _product(_groups(plan, True)).coeffs
+    w = list(_product(_groups(plan, False)).coeffs)
     del plan
     odd = [0, *((x - y) >> 1 for x, y in zip(p[1:], w[1:]))]
     del p

@@ -133,6 +133,10 @@ TEXTS = {
     "bad_duplicate": "3 2\n0 1\n1 0\n",
     "bad_first_error_wins": "3 3\n0 1\n1 0\n2 2\n",
     "bad_mismatch_beats_edge_error": "3 3\n0 0\n",
+    "bad_extra_beats_edge_error": "3 1\n0 0\n1 2\n",
+    "bad_range_beats_self_loop": "3 1\n5 5\n",
+    "bad_long_word": "3 1\n0 " + "x" * 40 + "\n",
+    "bad_negative_beats_cap": "2000000 -1\n",
     "ok_dimacs": "c cube-like\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n",
     "ok_crlf_comments": "# header next\r\n4 3\r\n\r\n0 1\r\n# mid\r\n1 2   \r\n  2 3\r\n",
     "ok_underscores": "1_0 0_1\n0 9\n",

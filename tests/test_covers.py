@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from reference import census_cover_count, reference_independent_count, reference_vc_count
 
+import oed.covers
 import oed.delta
 from oed import (
     ENGINES,
@@ -204,7 +205,7 @@ class TestReductionPipeline:
 
 
 class TestCountFormsNoProduct:
-    """``count`` sums each component's independent sets and multiplies the sums.
+    """``count`` multiplies each component's number of independent sets.
 
     It forms no W polynomial, so the paper's identity on a census checks
     ``_product`` against it past every oracle's reach.
@@ -218,6 +219,21 @@ class TestCountFormsNoProduct:
         monkeypatch.setattr(oed.delta, "_product", refused)
         monkeypatch.setattr(oed.delta, "_binomial_transform", refused)
         assert vc_count_reduction(g) == expected
+
+    @pytest.mark.parametrize("g,expected", PAST_THE_ORACLES)
+    def test_count_reads_each_total_at_slot_0(self, monkeypatch, g, expected):
+        # At slot 0 each component's DP sum is its number of independent
+        # sets: no coefficient is packed, so none is unpacked.
+        slots = []
+        vertex_sums = oed.covers._vertex_sums
+
+        def spy(steps, slot, edges):
+            slots.append(slot)
+            return vertex_sums(steps, slot, edges)
+
+        monkeypatch.setattr(oed.covers, "_vertex_sums", spy)
+        assert vc_count_reduction(g) == expected
+        assert slots and set(slots) == {0}
 
     def test_a_wrong_product_fails_the_identity(self, monkeypatch):
         count = vc_count_reduction(TRIANGLES)

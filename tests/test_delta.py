@@ -41,7 +41,7 @@ from oed import (
     w_polynomial,
 )
 from oed.cli import main
-from oed.delta import _binomial_transform, _plan, _product
+from oed.delta import _binomial_transform, _groups, _plan, _product
 
 ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components, delta_frontier]
 
@@ -441,8 +441,7 @@ def wide_groups(seed: int) -> Counter[tuple[int, ...]]:
         edges = {(rng.randrange(v), v) for v in range(1, 8)}  # a random spanning tree
         while len(edges) < 12:
             edges.add(tuple(sorted(rng.sample(range(8), 2))))
-        (m, steps), = _plan(Graph.from_edges(8, sorted(edges)), False)
-        groups[oed.delta._vertex_sums(steps, m, False)] += 1
+        groups.update(_groups(_plan(Graph.from_edges(8, sorted(edges)), False), False))
     return groups
 
 

@@ -28,7 +28,7 @@ from oed import (
     vc_count_reduction,
     w_polynomial,
 )
-from oed.delta import _plan, _product
+from oed.delta import _groups, _plan, _product, _vertex_sums
 
 
 @st.composite
@@ -224,6 +224,20 @@ class TestPlanOrder:
         expected = reference_plan(g.n, [(u, v) for u, v in g.edges])
         assert _plan(g, True) == expected
         assert _plan(g, False) == expected
+
+
+class TestVertexSums:
+    """One DP sum, read at two slots: graded by ``_groups``, or whole at slot 0."""
+
+    @given(st.one_of(scattered_graphs(), connected_unions()))
+    @example(gen_family("prism", 20))
+    @example(random_union(40, 8, 12, 1))
+    @settings(deadline=None)
+    def test_slot_0_gives_the_sum_of_the_graded_counts(self, g):
+        for edges in (True, False):
+            for m, steps in _plan(g, edges):
+                (counts,) = _groups([(m, steps)], edges)
+                assert _vertex_sums(steps, 0, edges) == sum(counts)
 
 
 class TestMetamorphic:

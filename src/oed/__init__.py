@@ -1,14 +1,14 @@
 """Exact odd/even edge-induced-subgraph census and vertex cover counting."""
 
 from .covers import (
+    IE_EDGE_CAP,
     VERTEX_CAP,
     brute_force_vc_count,
+    inclusion_exclusion_direct,
     independent_set_count,
-    vc_count_reduction,
 )
 from .delta import (
     EDGE_CAP,
-    IE_EDGE_CAP,
     ENGINES,
     DeltaPolynomial,
     DeltaProfile,
@@ -16,7 +16,7 @@ from .delta import (
     delta_frontier,
     delta_graycode,
     delta_naive,
-    inclusion_exclusion_direct,
+    vc_count_reduction,
     w_polynomial,
 )
 from .errors import CapError, EngineDisagreement, GraphError, ParseError

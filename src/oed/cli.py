@@ -16,7 +16,8 @@ usage the table gives. ``delta`` and ``count`` write their JSON and CSV
 directly, so neither loads a JSON, CSV or argument-parsing module.
 ``delta`` writes a profile in pieces of about WRITE_BYTES of text, so a
 write holds a few thousand short counts or a few dozen wide ones; ``gen``
-writes its edge list the same way.
+writes its edge list through ``oed.graph.write_edge_list``, which puts out
+a bounded number of lines per write.
 """
 
 from __future__ import annotations
@@ -26,14 +27,10 @@ import sys
 from itertools import repeat
 from types import SimpleNamespace
 
-from .covers import (
-    brute_force_vc_count,
-    independent_set_count,
-    vc_count_reduction,
-)
-from .delta import ENGINES, DeltaProfile
+from .covers import brute_force_vc_count, independent_set_count
+from .delta import ENGINES, DeltaProfile, vc_count_reduction
 from .errors import CapError, EngineDisagreement, ParseError
-from .graph import FAMILY_NAMES, gen_family, load_graph
+from .graph import FAMILY_NAMES, gen_family, load_graph, write_edge_list
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -151,20 +148,13 @@ def cmd_verify(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _write_edge_list(write, g) -> None:
-    """``to_edge_list(g)``, written in batches of about WRITE_BYTES."""
-    edges = g.edges
-    write(f"{g.n} {g.m}\n")
-    _write_batches(write, len(edges), lambda a, b: "".join(f"{u} {v}\n" for u, v in edges[a:b]))
-
-
 def cmd_gen(args: SimpleNamespace) -> int:
     g = gen_family(args.family, args.size)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            _write_edge_list(fh.write, g)
+            write_edge_list(fh.write, g)
     else:
-        _write_edge_list(sys.stdout.write, g)
+        write_edge_list(sys.stdout.write, g)
     return EXIT_OK
 
 

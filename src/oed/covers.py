@@ -1,38 +1,29 @@
-"""Exact vertex cover counting, three independent ways.
+"""Cover oracles: three plain subset scans that check the census and its count.
 
 A subset S of vertices is a cover when every edge has an endpoint in S.
-The count is computed by
+The oracles are
 
-* ``brute_force_vc_count``  : scan all 2^n vertex subsets (oracle),
-* ``independent_set_count`` : scan counting independent sets, which
+* ``brute_force_vc_count``       : scan all 2^n vertex subsets for covers,
+* ``independent_set_count``      : scan counting independent sets, which
   equal covers in number because S covers iff V - S is independent
   (the bijection is asserted in tests, never assumed internally),
-* ``vc_count_reduction``    : evaluate the census at x = 1/2,
+* ``inclusion_exclusion_direct`` : the direct alternating sum over every
+  nonempty edge subset F of (-1)^(|F|+1) 2^(n - |V(F)|), the non-cover
+  count, so covers = 2^n - sum_k delta_k 2^(n-k) term by term.
 
-      |covers| = 2^n - sum_k delta_k * 2^(n-k) = 2^n * W(1/2),
-
-  with W(x) = 1 - D(x) the product of the components' polynomials. A
-  component's W_c(x) = (1-x)^h_c I_c(x / (1-x)), I_c its independence
-  polynomial sum_t B_t x^t on h_c vertices, so W_c(1/2) = 2^-h_c sum_t B_t
-  and the count is 2^(isolated) * prod_c sum_t B_t. Each sum_t B_t = I_c(1)
-  is the census's own W pass run at slot 0, where it returns the total
-  and no coefficient is packed; no product of polynomials is formed. An
-  isolated vertex adds no factor to W and one factor of 2 through 2^n.
-
-All arithmetic is integer end to end; counts are exact at any size the
-caps admit. The oracles are deliberately plain subset scans, structurally
-unrelated to the census pipeline they validate.
+The cover count itself, ``vc_count_reduction``, is computed in
+``oed.delta`` from the census DP. All arithmetic is integer end to end.
+The oracles are deliberately plain scans, structurally unrelated to the
+census pipeline they validate, and this module imports nothing from it.
 """
 
 from __future__ import annotations
 
-from math import prod
-
-from .delta import _plan, _vertex_sums
 from .errors import CapError
 from .graph import Graph
 
 VERTEX_CAP = 28
+IE_EDGE_CAP = 20
 
 
 def _check_vertex_cap(g: Graph, what: str) -> None:
@@ -68,14 +59,32 @@ def independent_set_count(g: Graph) -> int:
     return count
 
 
-def vc_count_reduction(g: Graph) -> int:
-    """Cover count via the census: 2^n * W(1/2), exactly.
+def inclusion_exclusion_direct(g: Graph) -> int:
+    """Literal alternating-sum evaluation of the non-cover count.
 
-    2^h_c * W_c(1/2) = sum_t B_t, the component's number of independent
-    sets, which its W pass returns at slot 0. The count is the product of
-    these totals shifted left by n - h, h the vertices with an edge. The
-    plan is priced as the graded W pass, so its price bounds this pass.
+    Sums (-1)^(|F|+1) * 2^(n - |V(F)|) over every nonempty edge subset F.
+    Oracle grade only: capped at 20 edges. Returns 0 for an edgeless
+    graph (an empty union).
     """
-    plan = _plan(g, False, product=False)
-    count = prod(_vertex_sums(steps, 0, False) for _, steps in plan)
-    return count << (g.n - sum(len(steps) for _, steps in plan))
+    n, m = g.n, g.m
+    if m == 0:
+        return 0
+    if m > IE_EDGE_CAP:
+        raise CapError(
+            f"graph has {m} edges, the direct inclusion-exclusion oracle supports at most {IE_EDGE_CAP}"
+        )
+    emask = {1 << j: (1 << u) | (1 << v) for j, (u, v) in enumerate(g.edges)}
+    total = 0
+    for mask in range(1, 1 << m):
+        s = mask
+        vm = 0
+        while s:
+            b = s & -s
+            vm |= emask[b]
+            s ^= b
+        term = 1 << (n - vm.bit_count())
+        if mask.bit_count() & 1:
+            total += term
+        else:
+            total -= term
+    return total

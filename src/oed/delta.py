@@ -35,6 +35,20 @@ once or twice is folded in. Trailing zeros of the counts are factors
 halves the recurrence's work on repeated W_c, and those of a folded
 factor join the pool only where that makes its fold cheaper.
 
+The same DP also gives the cover count, ``vc_count_reduction``: a subset
+S of vertices covers when every edge has an endpoint in S, and
+
+    |covers| = 2^n - sum_k delta_k * 2^(n-k) = 2^n * W(1/2),
+
+with W(x) = 1 - D(x) the product of the components' polynomials. A
+component's W_c(x) = (1-x)^h_c I_c(x / (1-x)), I_c its independence
+polynomial sum_t B_t x^t on h_c vertices, so W_c(1/2) = 2^-h_c sum_t B_t
+and the count is 2^(isolated) * prod_c sum_t B_t. Each sum_t B_t = I_c(1)
+is the component's W pass run at slot 0, where it returns the total and
+no coefficient is packed; no product of polynomials is formed. An
+isolated vertex adds no factor to W and one factor of 2 through 2^n.
+This module holds no cover oracle; those are in ``oed.covers``.
+
 The enumeration engines refuse more than EDGE_CAP edges. The DP's cost
 grows with the frontier width, not with 2^m; it is estimated before the
 DP runs, and refused over DP_SECONDS or DP_BYTES. All counts are plain
@@ -47,13 +61,13 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from heapq import heappop, heappush
 from itertools import chain, repeat, zip_longest
+from math import prod
 from operator import add, mul, sub
 
 from .errors import CapError, EngineDisagreement
 from .graph import Graph
 
 EDGE_CAP = 62
-IE_EDGE_CAP = 20
 
 # The frontier DP's bounds: its estimated run time in seconds and the
 # estimated peak size of its state table in bytes (see ``_plan``).
@@ -522,6 +536,19 @@ def _groups(
     return groups
 
 
+def vc_count_reduction(g: Graph) -> int:
+    """Cover count via the census: 2^n * W(1/2), exactly.
+
+    2^h_c * W_c(1/2) = sum_t B_t, the component's number of independent
+    sets, which its W pass returns at slot 0. The count is the product of
+    these totals shifted left by n - h, h the vertices with an edge. The
+    plan is priced as the graded W pass, so its price bounds this pass.
+    """
+    plan = _plan(g, False, product=False)
+    count = prod(_vertex_sums(steps, 0, False) for _, steps in plan)
+    return count << (g.n - sum(len(steps) for _, steps in plan))
+
+
 def delta_frontier(g: Graph) -> DeltaProfile:
     """Census from vertex subsets, by a DP over a narrow vertex order.
 
@@ -555,34 +582,3 @@ ENGINES = {
     "components": delta_by_components,
     "frontier": delta_frontier,
 }
-
-
-def inclusion_exclusion_direct(g: Graph) -> int:
-    """Literal alternating-sum evaluation of the non-cover count.
-
-    Sums (-1)^(|F|+1) * 2^(n - |V(F)|) over every nonempty edge subset F.
-    Oracle grade only: capped at 20 edges. Returns 0 for an edgeless
-    graph (an empty union).
-    """
-    n, m = g.n, g.m
-    if m == 0:
-        return 0
-    if m > IE_EDGE_CAP:
-        raise CapError(
-            f"graph has {m} edges, the direct inclusion-exclusion oracle supports at most {IE_EDGE_CAP}"
-        )
-    emask = {1 << j: (1 << u) | (1 << v) for j, (u, v) in enumerate(g.edges)}
-    total = 0
-    for mask in range(1, 1 << m):
-        s = mask
-        vm = 0
-        while s:
-            b = s & -s
-            vm |= emask[b]
-            s ^= b
-        term = 1 << (n - vm.bit_count())
-        if mask.bit_count() & 1:
-            total += term
-        else:
-            total -= term
-    return total

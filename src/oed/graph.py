@@ -274,11 +274,24 @@ def _parse(fmt: tuple, lines: Iterator[tuple[int, str]]) -> Graph:
     return Graph(n, tuple(edges))
 
 
+# Edge lines per call of ``write_edge_list``'s ``write``. Ids are below
+# MAX_VERTICES, so a line takes at most 14 characters and a call 28 KiB.
+_EDGE_LINES = 2048
+
+
+def write_edge_list(write, g: Graph) -> None:
+    """``write`` the native edge-list format: the header, then 2,048 edge lines per call."""
+    edges = g.edges
+    write(f"{g.n} {g.m}\n")
+    for start in range(0, len(edges), _EDGE_LINES):
+        write("".join(f"{u} {v}\n" for u, v in edges[start : start + _EDGE_LINES]))
+
+
 def to_edge_list(g: Graph) -> str:
     """Serialize a graph in the native edge-list format (canonical edge order)."""
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
+    out: list[str] = []
+    write_edge_list(out.append, g)
+    return "".join(out)
 
 
 def load_graph(path) -> Graph:

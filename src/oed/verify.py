@@ -24,20 +24,20 @@ from collections import namedtuple
 from itertools import combinations
 
 from .covers import (
+    IE_EDGE_CAP,
     VERTEX_CAP,
     brute_force_vc_count,
+    inclusion_exclusion_direct,
     independent_set_count,
-    vc_count_reduction,
 )
 from .delta import (
     ENGINES,
-    IE_EDGE_CAP,
+    _plan,
     delta_by_components,
     delta_frontier,
     delta_graycode,
     delta_naive,
-    _plan,
-    inclusion_exclusion_direct,
+    vc_count_reduction,
 )
 from .errors import CapError, EngineDisagreement
 from .graph import Graph, random_graph, to_edge_list
@@ -214,7 +214,10 @@ def subsets_visited(g: Graph, engine: str) -> int:
     ``gray`` enumerate edge subsets. For ``components`` the size is the
     sum of 2^m_c - 1 over the components of the DP's plan, priced as the
     engine's W pass, so a graph the engine refuses raises CapError.
-    ``oed bench`` rates every engine in census subsets per second.
+    ``oed bench`` rates every engine in census subsets per second, so its
+    ``components`` rate is not comparable with the others' on a graph of
+    several components; it is kept so that ``bench``'s JSON stays as it
+    is, and it is why this module reads the DP's private ``_plan``.
     """
     if engine == "components":
         return sum((1 << m) - 1 for m, _ in _plan(g, False))

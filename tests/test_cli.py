@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -344,6 +345,15 @@ class TestGen:
     def test_missing_size_rejected(self, capsys):
         assert main(["gen", "cycle"]) == 2
         assert "size" in capsys.readouterr().err
+
+    def test_writes_are_bounded(self, monkeypatch):
+        # 9,000 edges, 85 KiB of text: written whole, one piece would exceed
+        # the bound.
+        pieces = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append, flush=lambda: None))
+        assert main(["gen", "prism", "3000"]) == 0
+        assert max(len(piece.encode()) for piece in pieces) <= 32 << 10
+        assert "".join(pieces) == to_edge_list(gen_family("prism", 3000))
 
 
 class TestBench:

@@ -1,12 +1,13 @@
 """Cover counting: oracles, the census reduction, and their agreement."""
 
+import ast
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from reference import census_cover_count, reference_independent_count, reference_vc_count
 
-import oed.covers
 import oed.delta
 from oed import (
     ENGINES,
@@ -26,6 +27,8 @@ from oed import (
 )
 
 METHODS = ["naive", "gray", "components", "frontier"]
+
+COVERS_SOURCE = Path(__file__).resolve().parents[1] / "src" / "oed" / "covers.py"
 
 
 def prism_cover_count(s):
@@ -225,13 +228,13 @@ class TestCountFormsNoProduct:
         # At slot 0 each component's DP sum is its number of independent
         # sets: no coefficient is packed, so none is unpacked.
         slots = []
-        vertex_sums = oed.covers._vertex_sums
+        vertex_sums = oed.delta._vertex_sums
 
         def spy(steps, slot, edges):
             slots.append(slot)
             return vertex_sums(steps, slot, edges)
 
-        monkeypatch.setattr(oed.covers, "_vertex_sums", spy)
+        monkeypatch.setattr(oed.delta, "_vertex_sums", spy)
         assert vc_count_reduction(g) == expected
         assert slots and set(slots) == {0}
 
@@ -250,3 +253,37 @@ class TestCountFormsNoProduct:
         assert vc_count_reduction(TRIANGLES) == count
         for engine in engines:
             assert census_cover_count(engine(TRIANGLES)) != count
+
+
+def imported_modules(source: str, package: str = "oed") -> set[str]:
+    """Every module an import in ``source`` can name, relative ones read in ``package``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = package + ("." + base if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestOracleBoundary:
+    """The cover oracles check the census DP, so they share none of its code."""
+
+    def test_covers_imports_nothing_from_the_engine(self):
+        names = imported_modules(COVERS_SOURCE.read_text(encoding="utf-8"))
+        assert "oed.graph" in names  # the file was read and its imports resolved
+        assert not [name for name in names if name == "oed.delta" or name.startswith("oed.delta.")]
+
+    def test_the_check_sees_every_import_form(self):
+        for line in (
+            "from .delta import _plan",
+            "from . import delta",
+            "from oed.delta import _vertex_sums",
+            "import oed.delta",
+            "from oed import delta as engine",
+        ):
+            assert "oed.delta" in imported_modules(line), line

@@ -48,7 +48,6 @@ _VERIFY_NAMES = {
     "check_graph",
     "run_bench",
     "run_verification",
-    "subsets_visited",
 }
 
 

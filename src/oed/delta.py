@@ -392,21 +392,21 @@ def _plan(
     64-bit words. ``_vertex_sums`` holds one int per state, so the byte
     term reads about twice the measured peak where the state table
     dominates, as on complete graphs; it is left as it is because it
-    decides which graphs are refused. The slot is that of ``_groups`` for
-    the same ``edges``: h + m + 1 bits with ``edges``, the A pass, which
-    bounds both passes of ``delta_frontier``. It is h + 1 bits without:
-    the W pass alone, whose states are only the independent subsets of
-    the frontier, so 2^w bounds them. ``vc_count_reduction`` runs the W
-    pass at slot 0, one int of about h bits per state, so its price is
-    an upper bound. With ``product`` (the engines, which multiply the
-    components' polynomials), folding a component into the product over
-    H earlier vertices costs 0.25 us * (H + 1)(h_c + 1). That prices a
-    fold over the components; ``_product`` raises repeated factors to
-    their powers more cheaply, so the term is an upper bound when
-    components repeat. Without it (the cover count, which multiplies one
-    int per component) the term is left out. Raises CapError once the
-    running estimate, with only the edges seen so far in the slot, passes
-    DP_SECONDS or a step passes DP_BYTES.
+    decides which graphs are refused. A step is priced at ``_slot`` of
+    the component so far: with ``edges`` that of the A pass, which bounds
+    both passes of ``delta_frontier``; without, that of the W pass alone,
+    whose states are only the independent subsets of the frontier, so 2^w
+    bounds them. ``vc_count_reduction`` runs the W pass at slot 0, one
+    int of about h bits per state, so its price is an upper bound. With
+    ``product`` (the engines, which multiply the components'
+    polynomials), folding a component into the product over H earlier
+    vertices costs 0.25 us * (H + 1)(h_c + 1). That prices a fold over
+    the components; ``_product`` raises repeated factors to their powers
+    more cheaply, so the term is an upper bound when components repeat.
+    Without it (the cover count, which multiplies one int per component)
+    the term is left out. Raises CapError once the running estimate, with
+    only the edges seen so far in the slot, passes DP_SECONDS or a step
+    passes DP_BYTES.
     """
     adjacency: dict[int, list[int]] = {}  # the neighbours of each vertex with an edge
     for u, v in g.edges:
@@ -463,7 +463,7 @@ def _plan(
             steps.append((inner, drop, vbit))
             m += inner.bit_count()
             i = len(steps)
-            slot = i + m + 1 if edges else i + 1
+            slot = _slot(i, m, edges)
             reads += size
             weighted += i * size
             estimate = seconds + 0.6e-6 * reads + 8e-9 * weighted * slot / 64
@@ -484,6 +484,15 @@ def _plan(
         earlier += i
         plan.append((m, steps))
     return plan
+
+
+def _slot(h: int, m: int, edges: bool) -> int:
+    """Bits per coefficient of ``_vertex_sums`` on h vertices and m edges.
+
+    h + m + 1 with ``edges``, as A_t < C(h, t) * 2^m, and h + 1 without,
+    as B_t <= C(h, t), so no coefficient carries into the next.
+    """
+    return h + m + 1 if edges else h + 1
 
 
 def _vertex_sums(steps: list[tuple[int, int, int]], slot: int, edges: bool) -> int:
@@ -524,13 +533,11 @@ def _groups(
 
     Its value is the number of components that share it, so ``_product``
     transforms each once. A component's ``_vertex_sums`` holds coefficient t
-    in bits [t*slot, (t+1)*slot); the slot is h_c + m_c + 1 bits with
-    ``edges``, for A_t < C(h_c, t) * 2^m_c, and h_c + 1 without, so no
-    coefficient carries.
+    in bits [t*slot, (t+1)*slot), the slot given by ``_slot``.
     """
     groups: Counter[tuple[int, ...]] = Counter()
     for m, steps in plan:
-        slot = len(steps) + 1 + (m if edges else 0)
+        slot = _slot(len(steps), m, edges)
         total, low = _vertex_sums(steps, slot, edges), (1 << slot) - 1
         groups[tuple(total >> (t * slot) & low for t in range(len(steps) + 1))] += 1
     return groups
@@ -559,21 +566,20 @@ def delta_frontier(g: Graph) -> DeltaProfile:
     Both multiply over components, in ``_product``, which raises a
     repeated factor to its power in one pass. For k >= 1,
     O_k + E_k = P_k and E_k - O_k = W_k: the full parity split,
-    identical to delta_graycode's. P is dropped once O is formed, E is
-    O + W, and W is negated into delta in place, so at most three arrays
-    of counts are held at once.
+    identical to delta_graycode's. P is dropped once O is formed and W
+    once E = O + W is, so at most three arrays of counts are held at once.
     """
     n = g.n
     plan = _plan(g, True)
     del g
     p = _product(_groups(plan, True)).coeffs
-    w = list(_product(_groups(plan, False)).coeffs)
+    w = _product(_groups(plan, False)).coeffs
     del plan
     odd = [0, *((x - y) >> 1 for x, y in zip(p[1:], w[1:]))]
     del p
     even = [0, *map(add, odd[1:], w[1:])]  # E_k = O_k + W_k
-    delta = _negate(w)
-    return DeltaProfile(n, _padded(n, odd), _padded(n, even), _padded(n, delta))
+    del w
+    return _parity_profile(n, odd, even)
 
 
 ENGINES = {

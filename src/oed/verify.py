@@ -12,7 +12,10 @@ all labeled graphs up to a small n and from seeded random sampling, so a
 report is fully reproducible from (seed, parameters).
 
 ``run_bench`` times engines on one input and refuses to report numbers
-unless every engine produced the identical delta array.
+unless every engine produced the identical delta array. Each engine is
+rated by the one census size, the 2^m - 1 nonempty edge subsets, whatever
+work it does to count them, so rates compare across engines. This module
+uses only the public names of ``oed.delta``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .covers import (
 )
 from .delta import (
     ENGINES,
-    _plan,
     delta_by_components,
     delta_frontier,
     delta_graycode,
@@ -207,39 +209,23 @@ class BenchRecord(
         return {**self._asdict(), "subsets": str(self.subsets)}
 
 
-def subsets_visited(g: Graph, engine: str) -> int:
-    """Census size an engine accounts for: 2^m - 1, or the per-component sum.
-
-    These are census sizes, not subsets visited: only ``naive`` and
-    ``gray`` enumerate edge subsets. For ``components`` the size is the
-    sum of 2^m_c - 1 over the components of the DP's plan, priced as the
-    engine's W pass, so a graph the engine refuses raises CapError.
-    ``oed bench`` rates every engine in census subsets per second, so its
-    ``components`` rate is not comparable with the others' on a graph of
-    several components; it is kept so that ``bench``'s JSON stays as it
-    is, and it is why this module reads the DP's private ``_plan``.
-    """
-    if engine == "components":
-        return sum((1 << m) - 1 for m, _ in _plan(g, False))
-    return (1 << g.m) - 1
-
-
 def run_bench(g: Graph, engines: list[str], repeats: int = 1) -> list[BenchRecord]:
     """Time each engine ``repeats`` times; all runs must agree on delta.
 
-    Raises CapError before any run for an engine whose census size is past
-    the float range, where no rate in subsets per second can be given.
+    Every engine is rated by the census size, 2^m - 1 nonempty edge
+    subsets, so rates compare across engines. Raises CapError before any
+    run if that size is past the float range, where no rate in subsets
+    per second can be given.
     """
     if not 1 <= repeats <= BENCH_REPEATS_CAP:
         raise ValueError(f"repeats must be in [1, {BENCH_REPEATS_CAP}], got {repeats}")
     if not engines:
         raise ValueError("no engines given")
-    visited = {}
+    subsets = (1 << g.m) - 1
     for name in engines:
         if name not in ENGINES:
             raise ValueError(f"unknown engine {name!r}; known engines: {', '.join(ENGINES)}")
-        visited[name] = subsets_visited(g, name)
-        if visited[name] > sys.float_info.max:
+        if subsets > sys.float_info.max:
             raise CapError(f"graph has {g.m} edges, too many to rate engine {name!r} in subsets/s")
     records: list[BenchRecord] = []
     deltas: dict[str, tuple[int, ...]] = {}
@@ -249,12 +235,12 @@ def run_bench(g: Graph, engines: list[str], repeats: int = 1) -> list[BenchRecor
             t0 = time.perf_counter()
             profile = fn(g)
             wall = time.perf_counter() - t0
-            rate = visited[name] / wall if wall > 0 else 0.0
+            rate = subsets / wall if wall > 0 else 0.0
             records.append(
                 BenchRecord(
                     engine=name,
                     edges=g.m,
-                    subsets=visited[name],
+                    subsets=subsets,
                     wall_time=wall,
                     subsets_per_second=rate,
                 )

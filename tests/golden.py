@@ -219,6 +219,8 @@ def cases() -> list[list[str]]:
         ["bench", "--input", "cube.txt", "--engines", " , "],
         ["bench", "--input", "cube.txt", "--engines", "gray,warp"],
         ["bench", "--input", "prism2000.txt", "--engines", "frontier"],
+        ["bench", "--input", "triangles5.txt", "--engines", "naive,gray,components,frontier"],
+        ["bench", "--input", "complete40.txt", "--engines", "components"],
         [],
         ["-h"],
         ["--help"],

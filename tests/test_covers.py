@@ -28,7 +28,7 @@ from oed import (
 
 METHODS = ["naive", "gray", "components", "frontier"]
 
-COVERS_SOURCE = Path(__file__).resolve().parents[1] / "src" / "oed" / "covers.py"
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "oed"
 
 
 def prism_cover_count(s):
@@ -271,10 +271,14 @@ def imported_modules(source: str, package: str = "oed") -> set[str]:
 
 
 class TestOracleBoundary:
-    """The cover oracles check the census DP, so they share none of its code."""
+    """The cover oracles check the census DP, so they share none of its code.
+
+    The harness and the command line use only the DP's public names, so
+    only ``oed.delta`` knows its private contract (the plan and its slots).
+    """
 
     def test_covers_imports_nothing_from_the_engine(self):
-        names = imported_modules(COVERS_SOURCE.read_text(encoding="utf-8"))
+        names = imported_modules((SOURCE / "covers.py").read_text(encoding="utf-8"))
         assert "oed.graph" in names  # the file was read and its imports resolved
         assert not [name for name in names if name == "oed.delta" or name.startswith("oed.delta.")]
 
@@ -287,3 +291,10 @@ class TestOracleBoundary:
             "from oed import delta as engine",
         ):
             assert "oed.delta" in imported_modules(line), line
+        assert "oed.delta._plan" in imported_modules("from .delta import ENGINES, _plan")
+
+    @pytest.mark.parametrize("module", ["verify", "cli"])
+    def test_harness_and_cli_import_no_private_engine_name(self, module):
+        names = imported_modules((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        assert "oed.delta.ENGINES" in names  # the file was read and its imports resolved
+        assert not [name for name in names if name.startswith("oed.delta._")]

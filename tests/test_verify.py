@@ -20,7 +20,6 @@ from oed import (
     gen_family,
     run_bench,
     run_verification,
-    subsets_visited,
 )
 from oed import verify
 from oed.graph import Graph, disjoint_union
@@ -169,20 +168,6 @@ class TestRunVerification:
         assert d["wall_time"] >= 0
 
 
-class TestSubsetsVisited:
-    def test_enumeration_engines_visit_everything(self, cube):
-        assert subsets_visited(cube, "gray") == 2**12 - 1
-        assert subsets_visited(cube, "naive") == 2**12 - 1
-
-    def test_component_engine_visits_less(self, k3):
-        g = disjoint_union(k3, k3)
-        assert subsets_visited(g, "components") == 7 + 7
-        assert subsets_visited(g, "gray") == 2**6 - 1
-        # Interleaved labels and an isolated vertex: 2^2 - 1 + 2^1 - 1 + 0.
-        g = Graph.from_edges(6, [(0, 3), (3, 5), (1, 4)])
-        assert subsets_visited(g, "components") == 3 + 1
-
-
 class TestRunBench:
     def test_records_one_per_engine_per_repeat(self, cube):
         records = run_bench(cube, ["gray", "components"], repeats=2)
@@ -191,6 +176,24 @@ class TestRunBench:
             assert r.edges == 12
             assert r.wall_time >= 0
             assert r.subsets_per_second >= 0
+
+    @pytest.mark.parametrize(
+        "g,m",
+        [
+            # The components engine's own census is 7 + 7 subsets, one per triangle.
+            pytest.param(
+                disjoint_union(gen_family("complete", 3), gen_family("complete", 3)),
+                6,
+                id="two_triangles",
+            ),
+            # Interleaved labels and an isolated vertex: components of 2 edges and 1.
+            pytest.param(Graph.from_edges(6, [(0, 3), (3, 5), (1, 4)]), 3, id="interleaved"),
+        ],
+    )
+    def test_every_engine_rates_the_census_size(self, g, m):
+        records = run_bench(g, list(ENGINES))
+        assert [r.engine for r in records] == list(ENGINES)
+        assert {r.to_json_dict()["subsets"] for r in records} == {str(2**m - 1)}
 
     def test_all_engines_must_agree(self, k3, monkeypatch):
         from oed import delta

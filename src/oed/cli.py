@@ -15,7 +15,7 @@ not admit exits 2 with one ``oed: error:`` line, and ``-h`` prints the
 usage the table gives. ``delta`` and ``count`` write their JSON and CSV
 directly, so neither loads a JSON, CSV or argument-parsing module.
 ``delta`` writes a profile in pieces of about WRITE_BYTES of text, so a
-write holds a few thousand short counts or a few dozen wide ones; ``gen``
+write holds a few hundred short counts or a few wide ones; ``gen``
 writes its edge list through ``oed.graph.write_edge_list``, which puts out
 a bounded number of lines per write.
 """
@@ -40,9 +40,11 @@ EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a process ended by Ctrl
 
 # Text per stdout write, in bytes. A write holds its entries' strings, their
 # join and the encoded copy, so its size in bytes, not its entry count, is
-# what stays bounded: counts thousands of digits wide go a few dozen at a
-# time, and zeros about 4,096 at a time.
-WRITE_BYTES = 1 << 15
+# what stays bounded: counts thousands of digits wide go one or a few at a
+# time, and zeros about 450 at a time. Resident memory, not traced memory,
+# sets the size: 32 KiB pieces added 0.15-0.3 MB to the peak of a cold
+# ``delta`` on many small components, against 4 KiB ones.
+WRITE_BYTES = 1 << 12
 
 
 def _emit_json(obj) -> None:
@@ -55,14 +57,21 @@ def _write_batches(write, count: int, render, sep: str = "") -> None:
     """``write(render(start, stop))`` for consecutive ranges of [0, count), ``sep`` between them.
 
     A batch takes as many entries as fitted WRITE_BYTES of text in the one
-    before, and at most twice as many, starting from 16: it overshoots only
-    as far as its entries widen.
+    before, and at most twice as many, starting from 16. Where its entries
+    widen past that, it is written in pieces, each cut at the first line
+    end after WRITE_BYTES, so no piece holds more than WRITE_BYTES of text
+    and the rest of one line.
     """
     start, size = 0, 16
     while True:
         stop = min(start + size, count)
         text = render(start, stop)
-        write(text)
+        done = 0  # where the unwritten text starts
+        while len(text) - done > WRITE_BYTES:
+            cut = text.find("\n", done + WRITE_BYTES) + 1 or len(text)
+            write(text[done:cut])
+            done = cut
+        write(text[done:])
         if stop == count:
             return
         write(sep)

@@ -61,7 +61,6 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from heapq import heappop, heappush
 from itertools import chain, repeat, zip_longest
-from math import prod
 from operator import add, mul, sub
 
 from .errors import CapError, EngineDisagreement
@@ -408,12 +407,21 @@ def _plan(
     only the edges seen so far in the slot, passes DP_SECONDS or a step
     passes DP_BYTES.
     """
-    adjacency: dict[int, list[int]] = {}  # the neighbours of each vertex with an edge
+    # Indexed by vertex id up to the largest endpoint: each vertex's
+    # neighbours (None for a vertex without an edge), its unprocessed
+    # neighbours, and 1 while it has an edge and no step.
+    adjacency: list[list[int] | None] = [None] * (max(chain.from_iterable(g.edges), default=-1) + 1)
     for u, v in g.edges:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    left = {v: len(near) for v, near in adjacency.items()}  # unprocessed neighbours
-    todo = set(left)
+        near = adjacency[u]
+        if near is None:
+            near = adjacency[u] = []
+        near.append(v)
+        near = adjacency[v]
+        if near is None:
+            near = adjacency[v] = []
+        near.append(u)
+    left = [len(near) if near else 0 for near in adjacency]
+    todo = bytearray(map(bool, left))
     frontier: dict[int, int] = {}  # vertex -> its bit in a state mask
     used = 0  # bits held by frontier vertices
     plan = []
@@ -428,14 +436,14 @@ def _plan(
                 net -= left[u] == 1
         return (net, -linked, v)
 
-    for v in sorted(left):
-        if v not in todo:
+    for v in range(len(left)):
+        if not todo[v]:
             continue
         keys: list[tuple[int, int, int]] = []  # heap of candidate keys, stale ones included
         steps: list[tuple[int, int, int]] = []
         m = reads = weighted = 0
         while True:
-            todo.remove(v)
+            todo[v] = 0
             size = 1 << len(frontier)  # states the step reads
             inner = drop = 0
             for u in adjacency[v]:
@@ -453,11 +461,11 @@ def _plan(
             # The keys that changed: v's unprocessed neighbours', and that of
             # the last unprocessed neighbour of a frontier vertex next to v.
             for u in adjacency[v]:
-                if u in todo:
+                if todo[u]:
                     heappush(keys, growth(u))
                 elif left[u] == 1:
                     for w in adjacency[u]:
-                        if w in todo:
+                        if todo[w]:
                             break
                     heappush(keys, growth(w))
             steps.append((inner, drop, vbit))
@@ -478,7 +486,7 @@ def _plan(
             if not frontier:
                 break
             _, _, v = key = heappop(keys)
-            while v not in todo or key != growth(v):
+            while not todo[v] or key != growth(v):
                 _, _, v = key = heappop(keys)
         seconds = estimate
         earlier += i
@@ -548,12 +556,26 @@ def vc_count_reduction(g: Graph) -> int:
 
     2^h_c * W_c(1/2) = sum_t B_t, the component's number of independent
     sets, which its W pass returns at slot 0. The count is the product of
-    these totals shifted left by n - h, h the vertices with an edge. The
-    plan is priced as the graded W pass, so its price bounds this pass.
+    these totals, by ``_tree_prod``, shifted left by n - h, h the vertices
+    with an edge. The plan is priced as the graded W pass, so its price
+    bounds this pass.
     """
     plan = _plan(g, False, product=False)
-    count = prod(_vertex_sums(steps, 0, False) for _, steps in plan)
+    count = _tree_prod([_vertex_sums(steps, 0, False) for _, steps in plan])
     return count << (g.n - sum(len(steps) for _, steps in plan))
+
+
+def _tree_prod(factors: list[int]) -> int:
+    """The product of ``factors``, neighbours multiplied pairwise until one int is left.
+
+    Each round multiplies operands of about equal size, where CPython's
+    Karatsuba multiplication pays; a running product multiplies a growing
+    int by a small one each time, in time quadratic in the result's size.
+    """
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) & 1 else []
+        factors = [*map(mul, factors[::2], factors[1::2]), *odd]
+    return factors[0] if factors else 1
 
 
 def delta_frontier(g: Graph) -> DeltaProfile:

@@ -134,7 +134,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
         raise ParseError("no header line found (input is empty or all comments)")
     line = first[1]
     dimacs = line[0] in ("p", "c") and (len(line) == 1 or line[1].isspace())
-    return _parse(_DIMACS if dimacs else _NATIVE, chain((first,), lines))
+    return _parse(_DIMACS if dimacs else _NATIVE, chain((first,), lines), text)
 
 
 def _decode(data: bytes) -> str:
@@ -198,13 +198,15 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise ParseError(f"line {lineno}: {what} {_quote(token)} is not an integer") from None
 
 
-def _parse(fmt: tuple, lines: Iterator[tuple[int, str]]) -> Graph:
-    """The graph of ``lines``, read once; errors are raised in order of rank.
+def _parse(fmt: tuple, lines: Iterator[tuple[int, str]], text: str) -> Graph:
+    """The graph of ``lines``, the lines of ``text``; errors are raised in order of rank.
 
     Header errors come first. Then an extra line or too few edge lines,
     then the first bad edge line (malformed, a long token, an id out of
     range, a self-loop), then the first duplicate. An edge line's error is
-    kept until the lines are counted.
+    kept until the lines are counted. The lines are read once, into a list
+    of edges; a duplicate shows as two equal neighbours once it is sorted,
+    and only then is ``text`` read again, by ``_first_duplicate``.
     """
     header_tags, tag, base, c_comments, header_shape, edge_shape, id_range = fmt
     for lineno, header in lines:
@@ -227,8 +229,7 @@ def _parse(fmt: tuple, lines: Iterator[tuple[int, str]]) -> Graph:
     width = skip + 2
     found = 0  # edge lines read
     error = None  # the first bad edge line's exception
-    seen: dict[tuple[int, int], int] = {}  # edge -> line of its first occurrence
-    duplicate = ""
+    edges: list[tuple[int, int]] = []
     for lineno, line in lines:
         parts = line.split()
         if c_comments and parts[0] == "c":
@@ -260,18 +261,40 @@ def _parse(fmt: tuple, lines: Iterator[tuple[int, str]]) -> Graph:
         except (ParseError, CapError) as exc:
             error = exc
             continue
-        first = seen.setdefault((u, v) if u < v else (v, u), lineno)
-        if first != lineno and not duplicate:
-            duplicate = f"line {lineno}: duplicate edge ({u}, {v}), first seen on line {first}"
+        edges.append((u, v) if u < v else (v, u))
     if found < m:
         raise ParseError(f"edge count mismatch: header declares {m} edges, found {found}")
     if error is not None:
         raise error
-    if duplicate:
-        raise ParseError(duplicate)
-    edges = sorted(seen)
-    del seen
+    edges.sort()
+    if any(map(eq, edges, islice(edges, 1, None))):
+        del edges
+        raise ParseError(_first_duplicate(fmt, text))
     return Graph(n, tuple(edges))
+
+
+def _first_duplicate(fmt: tuple, text: str) -> str:
+    """The error for the first edge line of ``text`` that repeats an earlier one.
+
+    Called once ``_parse`` has read every line of ``text`` without an
+    error and found an edge twice, so each edge line holds two valid ids.
+    """
+    _, tag, base, c_comments = fmt[:4]
+    skip = 1 if tag else 0
+    lines = _lines(text)
+    for _, line in lines:  # up to the header
+        if not (c_comments and line.split()[0] == "c"):
+            break
+    seen: dict[tuple[int, int], int] = {}  # edge -> line of its first occurrence
+    for lineno, line in lines:
+        parts = line.split()
+        if c_comments and parts[0] == "c":
+            continue
+        u, v = int(parts[skip]) - base, int(parts[skip + 1]) - base
+        first = seen.setdefault((u, v) if u < v else (v, u), lineno)
+        if first != lineno:
+            return f"line {lineno}: duplicate edge ({u}, {v}), first seen on line {first}"
+    raise AssertionError("no edge line repeats an earlier one")
 
 
 # Edge lines per call of ``write_edge_list``'s ``write``. Ids are below

@@ -22,7 +22,7 @@ from reference import ENGINE_NAMES, FAMILY_NAMES, reference_parser
 
 import oed
 from oed import ENGINES, MAX_VERTICES, VERTEX_CAP, DeltaProfile, Graph, gen_family, to_edge_list
-from oed.cli import UsageError, _write_csv_profile, _write_json_profile, main, parse_args
+from oed.cli import WRITE_BYTES, UsageError, _write_csv_profile, _write_json_profile, main, parse_args
 from oed.graph import MAX_GENERATED_EDGES, MAX_TOKEN_CHARS
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
@@ -196,6 +196,24 @@ def matching_profile(edges: int, split: bool) -> DeltaProfile:
     return DeltaProfile(2 * edges, tuple(odd), tuple(even), tuple(delta))
 
 
+def profile_text(profile: DeltaProfile, fmt: str) -> str:
+    """The profile as ``oed delta`` lays it out, built by ``json.dumps`` or row by row."""
+    if fmt == "json":
+        arrays = [None if a is None else list(map(str, a)) for a in profile[1:]]
+        return json.dumps(dict(zip(("n", "O", "E", "delta"), [profile.n, *arrays])), indent=2) + "\n"
+    split = profile.odd_counts is not None
+    odd, even = (profile.odd_counts, profile.even_counts) if split else ([""] * (profile.n + 1),) * 2
+    rows = (f"{k},{o},{e},{d}\n" for k, (o, e, d) in enumerate(zip(odd, even, profile.delta)))
+    return "k,odd,even,delta\n" + "".join(rows)
+
+
+def collect_writes(monkeypatch) -> list[str]:
+    """Replace stdout by one that keeps each write's text as a piece; the list of pieces."""
+    pieces: list[str] = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append, flush=lambda: None))
+    return pieces
+
+
 class HashSink:
     """A stdout that keeps only a running hash of the UTF-8 bytes written to it."""
 
@@ -216,15 +234,8 @@ class TestProfileWriters:
         # Counts up to C(3000, 1500), 902 digits: one write of all 6,001
         # entries, or of 4,096, holds over 3 MB of strings, join and bytes.
         profile = matching_profile(3000, split)
-        if fmt == "json":
-            arrays = [None if a is None else list(map(str, a)) for a in profile[1:]]
-            expected = json.dumps(dict(zip(("n", "O", "E", "delta"), [profile.n, *arrays])), indent=2) + "\n"
-            writer = _write_json_profile
-        else:
-            odd, even = (profile.odd_counts, profile.even_counts) if split else ([""] * (profile.n + 1),) * 2
-            rows = (f"{k},{o},{e},{d}\n" for k, (o, e, d) in enumerate(zip(odd, even, profile.delta)))
-            expected = "k,odd,even,delta\n" + "".join(rows)
-            writer = _write_csv_profile
+        expected = profile_text(profile, fmt)
+        writer = _write_json_profile if fmt == "json" else _write_csv_profile
         sink = HashSink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -235,6 +246,19 @@ class TestProfileWriters:
             tracemalloc.stop()
         assert sink.hash.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
         assert peak < 512 << 10
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pieces_are_bounded_by_bytes(self, tmp_path, monkeypatch, fmt):
+        # A 3,000-edge matching's counts run to 902 digits. A piece holds at
+        # most WRITE_BYTES of text and the one entry that took it past them.
+        path = tmp_path / "matching3000.txt"
+        path.write_text(to_edge_list(Graph(6000, tuple((2 * i, 2 * i + 1) for i in range(3000)))))
+        expected = profile_text(matching_profile(3000, False), fmt)
+        pieces = collect_writes(monkeypatch)
+        assert main(["delta", "--input", str(path), "--engine", "components", "--format", fmt]) == 0
+        widest = max(map(len, expected.splitlines(keepends=True)))
+        assert max(len(piece.encode()) for piece in pieces) <= WRITE_BYTES + widest
+        assert "".join(pieces) == expected
 
 
 class TestCount:
@@ -349,8 +373,7 @@ class TestGen:
     def test_writes_are_bounded(self, monkeypatch):
         # 9,000 edges, 85 KiB of text: written whole, one piece would exceed
         # the bound.
-        pieces = []
-        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append, flush=lambda: None))
+        pieces = collect_writes(monkeypatch)
         assert main(["gen", "prism", "3000"]) == 0
         assert max(len(piece.encode()) for piece in pieces) <= 32 << 10
         assert "".join(pieces) == to_edge_list(gen_family("prism", 3000))

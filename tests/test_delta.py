@@ -6,7 +6,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from math import comb
+from math import comb, prod
 
 import pytest
 from reference import (
@@ -41,9 +41,31 @@ from oed import (
     w_polynomial,
 )
 from oed.cli import main
-from oed.delta import _binomial_transform, _groups, _plan, _product
+from oed.delta import _binomial_transform, _groups, _plan, _product, _tree_prod
 
 ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components, delta_frontier]
+
+
+class TestTreeProduct:
+    """``_tree_prod`` multiplies pairwise to the same int as ``math.prod``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_math_prod(self, seed):
+        rng = random.Random(seed)
+        for size in (*range(1, 10), 31, 200):
+            # 1 + getrandbits(1) is 1 or 2.
+            factors = [1 + rng.getrandbits(rng.choice([1, 8, 64, 500, 3000])) for _ in range(size)]
+            assert _tree_prod(list(factors)) == prod(factors)
+            factors[rng.randrange(size)] = 0
+            assert _tree_prod(factors) == 0
+
+    def test_zero_one_and_a_single_factor(self):
+        assert _tree_prod([]) == 1
+        assert _tree_prod([1]) == 1
+        assert _tree_prod([0]) == 0
+        assert _tree_prod([3**500]) == 3**500
+        assert _tree_prod([3, 1, 5, 0, 7]) == 0
+        assert _tree_prod([1] * 9) == 1
 
 
 @pytest.mark.parametrize("engine", ENGINE_FNS)
@@ -427,6 +449,17 @@ class TestEngineCopies:
         # Folds that build each new slice beside the old one and F peak at
         # about 4.2 times the product's ints.
         assert peak < 2.3 * int_bytes(product.coeffs)
+
+
+class TestPlanTables:
+    def test_tables_are_lists_by_vertex_id(self):
+        # 10,000 disjoint triangles. Dicts of neighbour lists and of counts
+        # and a set of the vertices peaked at 325 bytes a vertex, the plan
+        # it returns included.
+        g = Graph.from_edges(30000, [e for i in range(0, 30000, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))])
+        plan, peak = traced_peak(lambda: _plan(g, False, product=False))
+        assert len(plan) == 10000
+        assert peak < 270 * g.n
 
 
 def wide_groups(seed: int) -> Counter[tuple[int, ...]]:

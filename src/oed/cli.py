@@ -131,8 +131,11 @@ METHODS = {
 
 def cmd_count(args: SimpleNamespace) -> int:
     g = load_graph(args.input)
-    isolated = g.n - len(g.endpoints())
     count = METHODS[args.method](g)
+    # Counted after the count, so that this set of endpoints is not made
+    # and freed before the planner's own: on prism 300000 that order left
+    # the refusal's peak 10 MB higher.
+    isolated = g.n - len(g.endpoints())
     sys.stdout.write(
         f'{{\n  "count": "{count}",\n  "method": "{args.method}",\n'
         f'  "n": {g.n},\n  "m": {g.m},\n  "isolated": {isolated}\n}}\n'

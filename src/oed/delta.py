@@ -59,6 +59,7 @@ in-process and serially.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterator, Sequence
 from heapq import heappop, heappush
 from itertools import chain, repeat, zip_longest
 from operator import add, mul, sub
@@ -69,7 +70,7 @@ from .graph import Graph
 EDGE_CAP = 62
 
 # The frontier DP's bounds: its estimated run time in seconds and the
-# estimated peak size of its state table in bytes (see ``_plan``).
+# estimated peak size of its state table in bytes (see ``_price``).
 DP_SECONDS = 60
 DP_BYTES = 512 << 20
 
@@ -118,9 +119,7 @@ class DeltaPolynomial(namedtuple("DeltaPolynomial", "coeffs")):
     __slots__ = ()
 
     def __mul__(self, other: "DeltaPolynomial") -> "DeltaPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
+        b, a = sorted((self.coeffs, other.coeffs), key=len)
         # Column k sums a_(k-j) b_j over the shorter factor's nonzero b_j,
         # each row a C-level map over the longer one: every coefficient is
         # formed once, and only the factors and the product are held.
@@ -131,9 +130,7 @@ class DeltaPolynomial(namedtuple("DeltaPolynomial", "coeffs")):
 
 def w_polynomial(profile: DeltaProfile) -> DeltaPolynomial:
     """Companion W(x) = 1 - D(x); coefficient k counts signed subsets, empty set included."""
-    coeffs = [-d for d in profile.delta]
-    if not coeffs:
-        coeffs = [0]
+    coeffs = [-d for d in profile.delta] or [0]
     coeffs[0] += 1
     return DeltaPolynomial(tuple(coeffs))
 
@@ -267,7 +264,7 @@ def delta_by_components(g: Graph) -> DeltaProfile:
     transform and one power in ``_product``.
     """
     n = g.n
-    plan = _plan(g, False)
+    plan = _plan(g, "W")
     del g  # freed here where the caller holds no other reference (see cmd_delta)
     groups = _groups(plan, False)
     del plan
@@ -367,23 +364,122 @@ def _power(repeated: list[tuple[DeltaPolynomial, int]]) -> DeltaPolynomial:
     return DeltaPolynomial(tuple(f))
 
 
-def _plan(
-    g: Graph, edges: bool, product: bool = True
-) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """(m_c, steps) for each component with an edge, in the DP's order.
+Step = tuple[int, int, int]  # (inner, drop, vbit): see ``_steps``
+_EDGE, _EDGE_STEPS = ((1,), (0,)), ((0, 0, 1), (1, 1, 0))  # one edge on local ids, and its steps
 
-    The vertex with the smallest ``growth`` key goes next: the fewest
-    vertices it opens on the frontier net of those it closes (v opens if
-    it keeps an unprocessed neighbour, and closes each frontier neighbour
-    whose last unprocessed neighbour it is), then the most frontier
-    neighbours, then the lowest id. A frontier neighbour's key is at most
-    (1, -1, v) and any other vertex's is (1, 0, v), so only the frontier's
-    unprocessed neighbours compete. A heap per component holds their keys,
-    takes a new one whenever a key changes, and is popped until a key is
-    current. The frontier empties exactly when a component is done, and
-    the lowest unprocessed id goes next. A step (inner, drop, vbit) holds
+
+def _plan(g: Graph, pass_: str) -> list[tuple[int, list[Step]]]:
+    """(m_c, steps) for each component with an edge, in the DP's order, priced for ``pass_``.
+
+    ``pass_`` names the pass of ``_vertex_sums`` that the plan is priced
+    for: "A", the A pass of ``delta_frontier``, which bounds both of its
+    passes; "W", the graded W pass of ``delta_by_components``; or "count",
+    the W pass of ``vc_count_reduction``. Three stages make the plan:
+    ``_components`` gives each component on its own local ids, ``_steps``
+    the steps of its greedy order, and ``_price`` prices each step as it
+    is made, so a refused graph stops partway through its steps. A
+    component of one edge, the commonest one of a sparse graph, always
+    takes the same two steps, ``_EDGE_STEPS``, and is given them as they
+    are.
+    """
+    return list(_price((_EDGE_STEPS if c is _EDGE else _steps(c) for c in _components(g)), pass_))
+
+
+def _components(g: Graph) -> Iterator[Sequence[Sequence[int]]]:
+    """Each component with an edge, as its vertices' neighbour lists, in order of its lowest id.
+
+    A component of h_c vertices is on local ids 0..h_c-1 that keep the
+    order of its vertex ids, so that ties break by id as before. The N
+    endpoints are ranked first: as themselves when they are 0..N-1, and
+    through a dict otherwise. So every table is sized by the endpoints,
+    not by the largest id. A component that holds every endpoint is given
+    the lists by rank as they are, and one of a single edge as ``_EDGE``.
+    """
+    ends = set(chain.from_iterable(g.edges))
+    ids = chain.from_iterable(g.edges)
+    if len(ends) <= max(ends, default=-1):  # the endpoints are not 0..N-1
+        ids = map(dict(zip(sorted(ends), range(len(ends)))).__getitem__, ids)
+    near: list[list[int]] = [[] for _ in ends]
+    del ends
+    for u, v in zip(ids, ids):
+        near[u].append(v)
+        near[v].append(u)
+    local = [-1] * len(near)  # -1 until a vertex's component is found, 0 until sorted, then its id
+    for s in range(len(near)):
+        if local[s] < 0:
+            local[s] = 0
+            comp = [s]
+            for v in comp:
+                for u in near[v]:
+                    if local[u] < 0:
+                        local[u] = 0
+                        comp.append(u)
+            if len(comp) == len(near):
+                del comp, local
+                yield near
+                return
+            comp.sort()
+            for i, v in enumerate(comp):
+                local[v] = i
+            yield _EDGE if len(comp) == 2 else [[local[u] for u in near[v]] for v in comp]
+
+
+def _steps(near: Sequence[Sequence[int]]) -> Iterator[Step]:
+    """One component's steps (inner, drop, vbit), in the greedy vertex order.
+
+    The vertex with the smallest key goes next: the fewest vertices it
+    opens on the frontier net of those it closes (v opens if it keeps an
+    unprocessed neighbour, and closes each frontier neighbour whose last
+    unprocessed neighbour it is), then the most frontier neighbours, then
+    the lowest id. Only the frontier's unprocessed neighbours compete; any
+    other vertex's key is (1, 0, v). Each key is kept up to date from the
+    counts of its vertex, without a scan of its neighbours. A key only
+    falls, and each fall pushes the new key onto a heap, so a popped key
+    is current unless its vertex has already been taken. The order
+    starts at local id 0 and ends when the frontier empties. A step holds
     the state bits of the vertex's frontier neighbours, the bits freed
-    after it, and its own bit (0 if it leaves at once).
+    after it, and its own bit (0 if it leaves the frontier at once).
+    """
+    left = list(map(len, near))  # each vertex's unprocessed neighbours
+    # -1 - (its frontier neighbours) while a vertex is unprocessed, which
+    # orders keys as -(its frontier neighbours) does; then its state bit.
+    bit = [-1] * len(near)
+    closing = [0] * len(near)  # an unprocessed vertex's frontier neighbours that it would close
+    keys: list[tuple[int, int, int]] = []  # heap of candidate keys, stale ones included
+    used = v = 0  # used: the bits held by frontier vertices
+    while True:
+        inner = drop = 0
+        for u in near[v]:
+            left[u] -= 1
+            if (b := bit[u]) > 0:
+                inner |= b
+                if not left[u]:
+                    drop |= b
+        used &= ~drop
+        bit[v] = vbit = ~used & (used + 1) if left[v] else 0
+        used |= vbit
+        # The keys that changed: those of v's unprocessed neighbours, now
+        # next to v on the frontier, and that of a frontier neighbour's one
+        # unprocessed neighbour left, its only neighbour with a negative bit.
+        for u in near[v]:
+            if bit[u] < 0:
+                bit[u] -= 1
+                closing[u] += left[v] == 1
+            elif left[u] == 1:
+                u = min(near[u], key=bit.__getitem__)
+                closing[u] += 1
+            if bit[u] < 0:
+                heappush(keys, ((left[u] > 0) - closing[u], bit[u], u))
+        yield inner, drop, vbit
+        if not used:
+            return
+        _, _, v = heappop(keys)
+        while bit[v] >= 0:
+            _, _, v = heappop(keys)
+
+
+def _price(components: Iterator[Iterator[Step]], pass_: str) -> Iterator[tuple[int, list[Step]]]:
+    """(m_c, steps) for each component's stream of steps, each step priced as it comes.
 
     Model, per pass of ``_vertex_sums``: a step reading the 2^w states of
     a w-vertex frontier costs 2^w * (0.6 us + 8 ns * words) and
@@ -392,106 +488,44 @@ def _plan(
     term reads about twice the measured peak where the state table
     dominates, as on complete graphs; it is left as it is because it
     decides which graphs are refused. A step is priced at ``_slot`` of
-    the component so far: with ``edges`` that of the A pass, which bounds
-    both passes of ``delta_frontier``; without, that of the W pass alone,
-    whose states are only the independent subsets of the frontier, so 2^w
-    bounds them. ``vc_count_reduction`` runs the W pass at slot 0, one
-    int of about h bits per state, so its price is an upper bound. With
-    ``product`` (the engines, which multiply the components'
+    the component so far: for "A" that of the A pass, which bounds both
+    passes of ``delta_frontier``; for "W" and "count" that of the W pass
+    alone, whose states are only the independent subsets of the frontier,
+    so 2^w bounds them. ``vc_count_reduction`` runs the W pass at slot 0,
+    one int of about h bits per state, so its price is an upper bound.
+    For "A" and "W" (the engines, which multiply the components'
     polynomials), folding a component into the product over H earlier
     vertices costs 0.25 us * (H + 1)(h_c + 1). That prices a fold over
     the components; ``_product`` raises repeated factors to their powers
     more cheaply, so the term is an upper bound when components repeat.
-    Without it (the cover count, which multiplies one int per component)
-    the term is left out. Raises CapError once the running estimate, with
-    only the edges seen so far in the slot, passes DP_SECONDS or a step
-    passes DP_BYTES.
+    For "count", which multiplies one int per component, the term is left
+    out. The states a step reads are read off the bits that the steps
+    before it hold. Raises CapError once the running estimate, summed over
+    the components in order and with only the edges seen so far in the
+    slot, passes DP_SECONDS or a step passes DP_BYTES.
     """
-    # Indexed by vertex id up to the largest endpoint: each vertex's
-    # neighbours (None for a vertex without an edge), its unprocessed
-    # neighbours, and 1 while it has an edge and no step.
-    adjacency: list[list[int] | None] = [None] * (max(chain.from_iterable(g.edges), default=-1) + 1)
-    for u, v in g.edges:
-        near = adjacency[u]
-        if near is None:
-            near = adjacency[u] = []
-        near.append(v)
-        near = adjacency[v]
-        if near is None:
-            near = adjacency[v] = []
-        near.append(u)
-    left = [len(near) if near else 0 for near in adjacency]
-    todo = bytearray(map(bool, left))
-    frontier: dict[int, int] = {}  # vertex -> its bit in a state mask
-    used = 0  # bits held by frontier vertices
-    plan = []
-    seconds = 0.0
-    earlier = 0  # vertices of finished components
-
-    def growth(v: int) -> tuple[int, int, int]:
-        net, linked = int(left[v] > 0), 0
-        for u in adjacency[v]:
-            if u in frontier:
-                linked += 1
-                net -= left[u] == 1
-        return (net, -linked, v)
-
-    for v in range(len(left)):
-        if not todo[v]:
-            continue
-        keys: list[tuple[int, int, int]] = []  # heap of candidate keys, stale ones included
-        steps: list[tuple[int, int, int]] = []
-        m = reads = weighted = 0
-        while True:
-            todo[v] = 0
-            size = 1 << len(frontier)  # states the step reads
-            inner = drop = 0
-            for u in adjacency[v]:
-                left[u] -= 1
-                if u in frontier:
-                    inner |= 1 << frontier[u]
-                    if not left[u]:
-                        drop |= 1 << frontier.pop(u)
-            used &= ~drop
-            vbit = 0
-            if left[v]:
-                vbit = ~used & (used + 1)
-                used |= vbit
-                frontier[v] = vbit.bit_length() - 1
-            # The keys that changed: v's unprocessed neighbours', and that of
-            # the last unprocessed neighbour of a frontier vertex next to v.
-            for u in adjacency[v]:
-                if todo[u]:
-                    heappush(keys, growth(u))
-                elif left[u] == 1:
-                    for w in adjacency[u]:
-                        if todo[w]:
-                            break
-                    heappush(keys, growth(w))
-            steps.append((inner, drop, vbit))
+    # The pass's slot rule, and 1 if it prices the fold term, else 0.
+    edges, fold = {"A": (True, 1), "W": (False, 1), "count": (False, 0)}[pass_]
+    seconds, earlier = 0.0, 0  # earlier: the vertices of finished components
+    for stream in components:
+        steps = []
+        used = m = reads = weighted = 0
+        rate = fold * 0.25e-6 * (earlier + 1)  # the fold's cost per vertex of this component
+        for i, step in enumerate(stream, 1):
+            steps.append(step)
+            inner, drop, vbit = step
+            size = 1 << used.bit_count()  # states the step reads
+            used = used & ~drop | vbit
             m += inner.bit_count()
-            i = len(steps)
             slot = _slot(i, m, edges)
-            reads += size
-            weighted += i * size
-            estimate = seconds + 0.6e-6 * reads + 8e-9 * weighted * slot / 64
-            if product:
-                estimate += 0.25e-6 * (earlier + 1) * (i + 1)
+            reads, weighted = reads + size, weighted + i * size
+            estimate = seconds + 0.6e-6 * reads + 8e-9 * weighted * slot / 64 + rate * (i + 1)
             nbytes = size * (i * slot // 4 + 150)
             if estimate > DP_SECONDS or nbytes > DP_BYTES:
-                raise CapError(
-                    f"census DP estimated at {estimate:.1f} s and {nbytes >> 20} MiB or more,"
-                    f" at most {DP_SECONDS} s and {DP_BYTES >> 20} MiB are supported"
-                )
-            if not frontier:
-                break
-            _, _, v = key = heappop(keys)
-            while not todo[v] or key != growth(v):
-                _, _, v = key = heappop(keys)
-        seconds = estimate
-        earlier += i
-        plan.append((m, steps))
-    return plan
+                raise CapError(f"census DP estimated at {estimate:.1f} s and {nbytes >> 20} MiB or more,"
+                               f" at most {DP_SECONDS} s and {DP_BYTES >> 20} MiB are supported")
+        seconds, earlier = estimate, earlier + i
+        yield m, steps
 
 
 def _slot(h: int, m: int, edges: bool) -> int:
@@ -503,7 +537,7 @@ def _slot(h: int, m: int, edges: bool) -> int:
     return h + m + 1 if edges else h + 1
 
 
-def _vertex_sums(steps: list[tuple[int, int, int]], slot: int, edges: bool) -> int:
+def _vertex_sums(steps: list[Step], slot: int, edges: bool) -> int:
     """One component's sum_t c_t y^t at y = 2^slot, as one int.
 
     With ``edges`` c_t is A_t, the sum of 2^e(T) over its t-vertex subsets
@@ -534,9 +568,7 @@ def _vertex_sums(steps: list[tuple[int, int, int]], slot: int, edges: bool) -> i
     return states[0]
 
 
-def _groups(
-    plan: list[tuple[int, list[tuple[int, int, int]]]], edges: bool
-) -> Counter[tuple[int, ...]]:
+def _groups(plan: list[tuple[int, list[Step]]], edges: bool) -> Counter[tuple[int, ...]]:
     """Each distinct count vector (A_t, or B_t without ``edges``) of the plan's components.
 
     Its value is the number of components that share it, so ``_product``
@@ -560,7 +592,7 @@ def vc_count_reduction(g: Graph) -> int:
     with an edge. The plan is priced as the graded W pass, so its price
     bounds this pass.
     """
-    plan = _plan(g, False, product=False)
+    plan = _plan(g, "count")
     count = _tree_prod([_vertex_sums(steps, 0, False) for _, steps in plan])
     return count << (g.n - sum(len(steps) for _, steps in plan))
 
@@ -592,7 +624,7 @@ def delta_frontier(g: Graph) -> DeltaProfile:
     once E = O + W is, so at most three arrays of counts are held at once.
     """
     n = g.n
-    plan = _plan(g, True)
+    plan = _plan(g, "A")
     del g
     p = _product(_groups(plan, True)).coeffs
     w = _product(_groups(plan, False)).coeffs

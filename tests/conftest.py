@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from oed import Graph, gen_family
@@ -21,3 +23,19 @@ def p3() -> Graph:
 @pytest.fixture
 def cube() -> Graph:
     return gen_family("cube_q3")
+
+
+@pytest.fixture
+def traced_peak():
+    """A function: fn(*args) and the peak bytes it traced, after one untraced warm-up call."""
+
+    def peak(fn, *args):
+        fn(*args)
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

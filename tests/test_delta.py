@@ -4,7 +4,6 @@ import json
 import random
 import sys
 import time
-import tracemalloc
 from collections import Counter
 from math import comb, prod
 
@@ -221,9 +220,9 @@ class TestCaps:
         # prism 1600: the W pass's slot of h + 1 bits fits the caps, the
         # A pass's slot of h + m + 1 bits does not. Planning alone decides.
         g = gen_family("prism", 1600)
-        assert [m for m, _ in _plan(g, False)] == [g.m]
+        assert [m for m, _ in _plan(g, "W")] == [g.m]
         with pytest.raises(CapError, match="census DP estimated at"):
-            _plan(g, True)
+            _plan(g, "A")
 
     def test_component_cap_is_per_component(self):
         # 64 edges in all, past the enumeration engines' cap, in four
@@ -320,7 +319,7 @@ class TestRepeatedComponents:
             label = random.Random(c).sample(range(5 * c, 5 * c + 5), 5)
             edges += [(label[u], label[v]) for u, v in piece]
         g = Graph.from_edges(2000, edges)
-        assert len({tuple(steps) for _, steps in _plan(g, False)}) > 1
+        assert len({tuple(steps) for _, steps in _plan(g, "W")}) > 1
         w_piece = w_polynomial(delta_graycode(Graph.from_edges(5, piece)))
         w = DeltaPolynomial((1,))
         for _ in range(400):
@@ -412,17 +411,6 @@ class TestPooledPowers:
         assert all(min(pair) <= 10 for pair in lengths)
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak bytes it traced, after one untraced warm-up call."""
-    fn(*args)
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def int_bytes(*arrays) -> int:
     return sum(sys.getsizeof(x) for values in arrays for x in values)
 
@@ -430,17 +418,17 @@ def int_bytes(*arrays) -> int:
 class TestEngineCopies:
     """On 1,000 disjoint triangles the engines hold about one copy of the arrays they return."""
 
-    def test_components_negates_w_in_place(self):
+    def test_components_negates_w_in_place(self, traced_peak):
         profile, peak = traced_peak(delta_by_components, triangles(1000))
         # Holding W beside delta would peak at about 2.2 times delta's ints.
         assert peak < 1.5 * int_bytes(profile.delta)
 
-    def test_frontier_drops_p_and_w(self):
+    def test_frontier_drops_p_and_w(self, traced_peak):
         profile, peak = traced_peak(delta_frontier, triangles(1000))
         # Holding P and W beside the three arrays would peak at about 1.8 times their ints.
         assert peak < 1.4 * int_bytes(profile.odd_counts, profile.even_counts, profile.delta)
 
-    def test_product_folds_hold_f_and_one_output(self):
+    def test_product_folds_hold_f_and_one_output(self, traced_peak):
         groups = wide_groups(1)
         once = sum(e == 1 for e in groups.values())
         repeated = sum(e >= 3 for e in groups.values())
@@ -452,14 +440,24 @@ class TestEngineCopies:
 
 
 class TestPlanTables:
-    def test_tables_are_lists_by_vertex_id(self):
-        # 10,000 disjoint triangles. Dicts of neighbour lists and of counts
-        # and a set of the vertices peaked at 325 bytes a vertex, the plan
-        # it returns included.
+    def test_tables_are_lists_by_rank_and_local_id(self, traced_peak):
+        # 10,000 disjoint triangles. The planner holds lists indexed by
+        # endpoint rank and, for one component at a time, by local id:
+        # about 210 bytes a vertex, the plan it returns included. Dicts of
+        # neighbour lists and of counts and a set of the vertices peaked at
+        # 325 bytes a vertex.
         g = Graph.from_edges(30000, [e for i in range(0, 30000, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))])
-        plan, peak = traced_peak(lambda: _plan(g, False, product=False))
+        plan, peak = traced_peak(lambda: _plan(g, "count"))
         assert len(plan) == 10000
         assert peak < 270 * g.n
+
+    def test_tables_are_sized_by_endpoints_not_the_largest_id(self, traced_peak):
+        # One edge among a million vertices. Tables indexed by vertex id up
+        # to the largest endpoint traced 17.6 MB for the edge (0, 999999),
+        # against 0.13 MB for (0, 1), most of it the count's own int.
+        _, far = traced_peak(vc_count_reduction, Graph(1000000, ((0, 999999),)))
+        _, near = traced_peak(vc_count_reduction, Graph(1000000, ((0, 1),)))
+        assert far < near + (1 << 20)
 
 
 def wide_groups(seed: int) -> Counter[tuple[int, ...]]:
@@ -474,7 +472,7 @@ def wide_groups(seed: int) -> Counter[tuple[int, ...]]:
         edges = {(rng.randrange(v), v) for v in range(1, 8)}  # a random spanning tree
         while len(edges) < 12:
             edges.add(tuple(sorted(rng.sample(range(8), 2))))
-        groups.update(_groups(_plan(Graph.from_edges(8, sorted(edges)), False), False))
+        groups.update(_groups(_plan(Graph.from_edges(8, sorted(edges)), "W"), False))
     return groups
 
 

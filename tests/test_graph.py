@@ -2,7 +2,6 @@
 
 import random
 import sys
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -412,17 +411,6 @@ class TestCombinators:
         assert g.edges == k3.edges
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak bytes it traced, after one untraced warm-up call."""
-    fn(*args)
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def graph_bytes(g: Graph) -> int:
     """Bytes of a graph's edge tuple, its pairs and their ints, each object counted once."""
     objects = {id(x): x for e in g.edges for x in (e, *e)}
@@ -432,7 +420,7 @@ def graph_bytes(g: Graph) -> int:
 class TestCopies:
     """Parsing and generating hold about one copy of the edges they return."""
 
-    def test_parse_holds_no_list_of_lines(self):
+    def test_parse_holds_no_list_of_lines(self, traced_peak):
         rng = random.Random(1)
         edges = set()
         while len(edges) < 2400:
@@ -446,7 +434,7 @@ class TestCopies:
         # times, and a dict from each edge to its line number at 1.6 times.
         assert peak < 1.4 * graph_bytes(g)
 
-    def test_generator_holds_each_pair_once(self):
+    def test_generator_holds_each_pair_once(self, traced_peak):
         g, peak = traced_peak(gen_family, "prism", 20000)
         # A list of the pairs, a copy of each and a set of them peaked at 2.0 times.
         assert peak < 1.3 * graph_bytes(g)

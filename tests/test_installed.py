@@ -1,0 +1,102 @@
+"""The command's checks on the paper's own class at scale, as the CI workflow runs them.
+
+CI runs these checks on the installed ``oed``; here the same command runs
+as ``python -m oed`` on the source tree, with the same inputs, expected
+values and bounds, so a change that breaks them fails tier-1 too.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's ru_maxrss, in KiB")
+
+# Runs argv[2:] with its stderr to the file argv[1], then prints the exit
+# code and the children's peak resident set in MB. It runs in a small
+# fresh interpreter, as in CI: on Linux a child's ru_maxrss starts from
+# its spawner's peak, so spawning from the test process would add that.
+PEAK = (
+    "import resource, subprocess, sys;"
+    " code = subprocess.call(sys.argv[2:], stderr=open(sys.argv[1], 'w'));"
+    " print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)"
+)
+
+
+def oed_peak(err: Path, *args: str) -> tuple[int, int]:
+    """(exit code, peak MB) of ``python -m oed args`` on the source tree, its stderr in ``err``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK, str(err), sys.executable, "-m", "oed", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    code, mb = map(int, out.split())
+    return code, mb
+
+
+def canonical_prism_lines(s: int):
+    """The lines of prism s's canonical edge list, ordered as sorted pairs (u, v), u < v.
+
+    The prism's edges are the two s-cycles (i, i + 1 mod s) and
+    (s + i, s + (i + 1) mod s) and the rungs (i, s + i). So vertex u < s
+    has the larger neighbours u + 1 (u < s - 1), s - 1 (u = 0) and s + u,
+    and vertex u >= s has u + 1 (u < 2s - 1) and 2s - 1 (u = s), each in
+    increasing order.
+    """
+    yield f"{2 * s} {3 * s}\n"
+    for u in range(2 * s):
+        if u < s:
+            larger = [u + 1] if u < s - 1 else []
+            larger += [s - 1] if u == 0 and s > 2 else []
+            larger.append(s + u)
+        else:
+            larger = [u + 1] if u < 2 * s - 1 else []
+            larger += [2 * s - 1] if u == s and s > 2 else []
+        yield from (f"{u} {v}\n" for v in larger)
+
+
+def test_canonical_prism_lines_match_the_formula():
+    # The formula of the CI step, which builds every pair: sorted({tuple(sorted(p)) ...}).
+    for s in (3, 4, 7, 20):
+        pairs = [p for i in range(s) for p in ((i, (i + 1) % s), (s + i, s + (i + 1) % s), (i, s + i))]
+        edges = sorted({tuple(sorted(p)) for p in pairs})
+        text = f"{2 * s} {3 * s}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        assert "".join(canonical_prism_lines(s)) == text
+
+
+@pytest.fixture(scope="module")
+def prism_300000(tmp_path_factory):
+    """gen prism 300000 into a file: (exit code, peak MB, its stderr, the file)."""
+    tmp = tmp_path_factory.mktemp("prism")
+    path = tmp / "p.txt"
+    code, mb = oed_peak(tmp / "gen.err", "gen", "prism", "300000", "--output", str(path))
+    return code, mb, (tmp / "gen.err").read_text(), path
+
+
+def test_gen_prism_300000_writes_the_canonical_list_under_160_mb(prism_300000):
+    code, mb, err, path = prism_300000
+    assert (code, err) == (0, "")
+    assert mb < 160, f"gen prism 300000 peaked at {mb} MB"
+    expected = hashlib.sha256()
+    for line in canonical_prism_lines(300000):
+        expected.update(line.encode())
+    actual = hashlib.sha256(path.read_bytes()).digest()
+    assert actual == expected.digest(), "p.txt is not prism 300000's canonical edge list"
+
+
+def test_count_refuses_prism_300000_under_235_mb(prism_300000, tmp_path):
+    *_, path = prism_300000
+    code, mb = oed_peak(tmp_path / "count.err", "count", "--input", str(path))
+    err = (tmp_path / "count.err").read_text()
+    assert code == 3, err
+    assert len(err.splitlines()) == 1 and err.startswith("oed: error:"), err
+    assert mb < 235, f"count on prism 300000 peaked at {mb} MB"

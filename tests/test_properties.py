@@ -135,6 +135,16 @@ def random_union(count, size, m, seed):
     return relabelled(Graph.from_edges(count * size, pairs), seed)
 
 
+def sparse_ids(n, k, m, seed):
+    """m random edges among k seeded ids of 0..n-1, the other ids isolated."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(n), k)
+    pairs = set()
+    while len(pairs) < m:
+        pairs.add(tuple(sorted(rng.sample(ids, 2))))
+    return Graph.from_edges(n, sorted(pairs))
+
+
 class TestGraphInvariants:
     @given(graphs())
     def test_edge_list_round_trip(self, g):
@@ -219,11 +229,14 @@ class TestPlanOrder:
     @example(gen_family("cube_q3"))
     @example(random_union(200, 8, 12, 1))
     @example(random_union(400, 5, 6, 2))
+    @example(Graph.from_edges(10, [(0, 7), (7, 9), (0, 9), (1, 3)]))  # {0, 7, 9} and {1, 3}, interleaved
+    @example(sparse_ids(3000, 40, 60, 1))
+    @example(sparse_ids(5000, 30, 15, 2))
     @settings(deadline=None)
     def test_plan_takes_the_greedy_order(self, g):
         expected = reference_plan(g.n, [(u, v) for u, v in g.edges])
-        assert _plan(g, True) == expected
-        assert _plan(g, False) == expected
+        for pass_ in ("A", "W", "count"):
+            assert _plan(g, pass_) == expected
 
 
 class TestVertexSums:
@@ -235,7 +248,7 @@ class TestVertexSums:
     @settings(deadline=None)
     def test_slot_0_gives_the_sum_of_the_graded_counts(self, g):
         for edges in (True, False):
-            for m, steps in _plan(g, edges):
+            for m, steps in _plan(g, "A" if edges else "W"):
                 (counts,) = _groups([(m, steps)], edges)
                 assert _vertex_sums(steps, 0, edges) == sum(counts)
 

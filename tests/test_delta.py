@@ -459,6 +459,19 @@ class TestPlanTables:
         _, near = traced_peak(vc_count_reduction, Graph(1000000, ((0, 1),)))
         assert far < near + (1 << 20)
 
+    def test_rank_dict_is_freed_before_the_components_are_found(self, traced_peak):
+        # 10,000 triangles on shuffled ids, and the same with every id one
+        # higher, so that vertex 0 is isolated and the endpoints are ranked
+        # through a dict. The rank ints held by the neighbour lists cost
+        # about 34 bytes a vertex; the dict, if it were still held beside
+        # the component tables, about 44 more.
+        perm = list(range(30000))
+        random.Random(1).shuffle(perm)
+        edges = [(perm[a], perm[b]) for i in range(0, 30000, 3) for a, b in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
+        _, dense = traced_peak(_plan, Graph.from_edges(30000, edges), "count")
+        _, ranked = traced_peak(_plan, Graph.from_edges(30001, [(u + 1, v + 1) for u, v in edges]), "count")
+        assert ranked < dense + 55 * 30000
+
 
 def wide_groups(seed: int) -> Counter[tuple[int, ...]]:
     """The W-pass counts of 200 seeded random connected graphs of 8 vertices and 12 edges.

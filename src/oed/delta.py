@@ -59,7 +59,7 @@ in-process and serially.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from heapq import heappop, heappush
 from itertools import chain, repeat, zip_longest
 from operator import add, mul, sub
@@ -369,7 +369,6 @@ def _power(repeated: list[tuple[DeltaPolynomial, int]]) -> DeltaPolynomial:
 
 
 Step = tuple[int, int, int]  # (inner, drop, vbit): see ``_steps``
-_EDGE, _EDGE_STEPS = ((1,), (0,)), ((0, 0, 1), (1, 1, 0))  # one edge on local ids, and its steps
 
 
 def _plan(g: Graph, pass_: str) -> list[tuple[int, list[Step]]]:
@@ -379,28 +378,20 @@ def _plan(g: Graph, pass_: str) -> list[tuple[int, list[Step]]]:
     for: "A", the A pass of ``delta_frontier``, which bounds both of its
     passes; "W", the graded W pass of ``delta_by_components``; or "count",
     the W pass of ``vc_count_reduction``. Three stages make the plan:
-    ``_components`` gives each component on its own local ids, ``_steps``
-    the steps of its greedy order, and ``_price`` prices each step as it
-    is made, so a refused graph stops partway through its steps. A
-    component of one edge, the commonest one of a sparse graph, always
-    takes the same two steps, ``_EDGE_STEPS``, and is given them without
-    ``_steps``' tables: through ``_steps``, a 500,000-edge perfect
-    matching took about 1.6 times as long to plan.
+    ``_neighbours`` gives the endpoints' neighbour lists by rank,
+    ``_steps`` one greedy walk over all of them, and ``_price`` prices
+    each step as it is made and cuts the walk into components, so a
+    refused graph stops partway through its steps.
     """
-    components = (_EDGE_STEPS if c is _EDGE else _steps(c) for c in _components(g))
-    return list(_price(components, pass_))
+    return list(_price(_steps(_neighbours(g)), pass_))
 
 
-def _components(g: Graph) -> Iterator[Sequence[Sequence[int]]]:
-    """Each component with an edge, as its vertices' neighbour lists, in order of its lowest id.
+def _neighbours(g: Graph) -> list[list[int]]:
+    """The neighbour lists of the N endpoints, indexed by their rank in id order.
 
-    A component of h_c vertices is on local ids 0..h_c-1 that keep the
-    order of its vertex ids, so that ties break by id as before. The N
-    endpoints are ranked first: as themselves when they are 0..N-1, and
-    through a dict otherwise. So every table is sized by the endpoints,
-    not by the largest id; the dict is freed once the neighbour lists are
-    built. A component that holds every endpoint is given the lists by
-    rank as they are, and one of a single edge as ``_EDGE``.
+    The endpoints are ranked as themselves when they are 0..N-1, and
+    through a dict otherwise. So every table of the plan is sized by the
+    endpoints, not by the largest id; the dict is freed on return.
     """
     ends = set(chain.from_iterable(g.edges))
     ids = chain.from_iterable(g.edges)
@@ -411,84 +402,75 @@ def _components(g: Graph) -> Iterator[Sequence[Sequence[int]]]:
     for u, v in zip(ids, ids):
         near[u].append(v)
         near[v].append(u)
-    del ids
-    local = [-1] * len(near)  # -1 until a vertex's component is found, 0 until sorted, then its id
-    for s in range(len(near)):
-        if local[s] < 0:
-            local[s] = 0
-            comp = [s]
-            for v in comp:
-                for u in near[v]:
-                    if local[u] < 0:
-                        local[u] = 0
-                        comp.append(u)
-            if len(comp) == len(near):
-                del comp, local
-                yield near
-                return
-            comp.sort()
-            for i, v in enumerate(comp):
-                local[v] = i
-            yield _EDGE if len(comp) == 2 else [[local[u] for u in near[v]] for v in comp]
+    return near
 
 
-def _steps(near: Sequence[Sequence[int]]) -> Iterator[Step]:
-    """One component's steps (inner, drop, vbit), in the greedy vertex order.
+def _steps(near: list[list[int]]) -> Iterator[Step]:
+    """The steps (inner, drop, vbit) of every component, in the greedy vertex order.
 
     The vertex with the smallest key goes next: the fewest vertices it
     opens on the frontier net of those it closes (v opens if it keeps an
     unprocessed neighbour, and closes each frontier neighbour whose last
     unprocessed neighbour it is), then the most frontier neighbours, then
-    the lowest id. Only the frontier's unprocessed neighbours compete; any
-    other vertex's key is (1, 0, v). Each key is kept up to date from the
-    counts of its vertex, without a scan of its neighbours. A key only
+    the lowest rank. Only the frontier's unprocessed neighbours compete;
+    any other vertex's key is (1, 0, v). Each key is kept up to date from
+    the counts of its vertex, without a scan of its neighbours. A key only
     falls, and each fall pushes the new key onto a heap, so a popped key
-    is current unless its vertex has already been taken. The order
-    starts at local id 0 and ends when the frontier empties. A step holds
-    the state bits of the vertex's frontier neighbours, the bits freed
-    after it, and its own bit (0 if it leaves the frontier at once).
+    is current unless its vertex has already been taken. When the
+    frontier empties a component is done, and the walk starts the next at
+    the lowest rank not yet taken. A step holds the state bits of the
+    vertex's frontier neighbours, the bits freed after it, and its own bit
+    (0 if it leaves the frontier at once). Equal steps are yielded as one
+    tuple: a sparse graph repeats a few steps many times.
     """
     left = list(map(len, near))  # each vertex's unprocessed neighbours
     # -1 - (its frontier neighbours) while a vertex is unprocessed, which
     # orders keys as -(its frontier neighbours) does; then its state bit.
     bit = [-1] * len(near)
     closing = [0] * len(near)  # an unprocessed vertex's frontier neighbours that it would close
-    keys: list[tuple[int, int, int]] = []  # heap of candidate keys, stale ones included
-    used = v = 0  # used: the bits held by frontier vertices
-    while True:
-        inner = drop = 0
-        for u in near[v]:
-            left[u] -= 1
-            if (b := bit[u]) > 0:
-                inner |= b
-                if not left[u]:
-                    drop |= b
-        used &= ~drop
-        bit[v] = vbit = ~used & (used + 1) if left[v] else 0
-        used |= vbit
-        # The keys that changed: those of v's unprocessed neighbours, now
-        # next to v on the frontier, and that of a frontier neighbour's one
-        # unprocessed neighbour left, its only neighbour with a negative bit.
-        for u in near[v]:
-            if bit[u] < 0:
-                bit[u] -= 1
-                closing[u] += left[v] == 1
-            elif left[u] == 1:
-                u = min(near[u], key=bit.__getitem__)
-                closing[u] += 1
-            if bit[u] < 0:
-                heappush(keys, ((left[u] > 0) - closing[u], bit[u], u))
-        yield inner, drop, vbit
-        if not used:
-            return
-        _, _, v = heappop(keys)
-        while bit[v] >= 0:
+    shared: dict[Step, Step] = {}
+    used = 0  # the bits held by frontier vertices
+    for start in range(len(near)):
+        if bit[start] >= 0:
+            continue
+        v = start
+        keys: list[tuple[int, int, int]] = []  # heap of candidate keys, stale ones included
+        while True:
+            inner = drop = 0
+            for u in near[v]:
+                left[u] -= 1
+                if (b := bit[u]) > 0:
+                    inner |= b
+                    if not left[u]:
+                        drop |= b
+            used &= ~drop
+            bit[v] = vbit = ~used & (used + 1) if left[v] else 0
+            used |= vbit
+            # The keys that changed: those of v's unprocessed neighbours, now
+            # next to v on the frontier, and that of a frontier neighbour's one
+            # unprocessed neighbour left, its only neighbour with a negative bit.
+            for u in near[v]:
+                if bit[u] < 0:
+                    bit[u] -= 1
+                    closing[u] += left[v] == 1
+                elif left[u] == 1:
+                    u = min(near[u], key=bit.__getitem__)
+                    closing[u] += 1
+                if bit[u] < 0:
+                    heappush(keys, ((left[u] > 0) - closing[u], bit[u], u))
+            step = inner, drop, vbit
+            yield shared.setdefault(step, step)
+            if not used:
+                break
             _, _, v = heappop(keys)
+            while bit[v] >= 0:
+                _, _, v = heappop(keys)
 
 
-def _price(components: Iterator[Iterator[Step]], pass_: str) -> Iterator[tuple[int, list[Step]]]:
-    """(m_c, steps) for each component's stream of steps, each step priced as it comes.
+def _price(steps: Iterator[Step], pass_: str) -> Iterator[tuple[int, list[Step]]]:
+    """(m_c, steps) for each component of the walk ``steps``, each step priced as it comes.
 
+    A component ends where the bits held by the frontier return to 0.
     Model, per pass of ``_vertex_sums``: a step reading the 2^w states of
     a w-vertex frontier costs 2^w * (0.6 us + 8 ns * words) and
     2^w * (16 * words + 150) bytes, for two ints per state of that many
@@ -515,29 +497,30 @@ def _price(components: Iterator[Iterator[Step]], pass_: str) -> Iterator[tuple[i
     # The pass's slot rule, and 1 if it prices the fold term, else 0.
     edges, fold = {"A": (True, 1), "W": (False, 1), "count": (False, 0)}[pass_]
     seconds, earlier = 0.0, 0  # earlier: the vertices of finished components
-    for stream in components:
-        steps = []
-        used = m = reads = weighted = 0
-        rate = fold * 0.25e-6 * (earlier + 1)  # the fold's cost per vertex of this component
-        for i, step in enumerate(stream, 1):
-            steps.append(step)
-            inner, drop, vbit = step
-            size = 1 << used.bit_count()  # states the step reads
-            used = used & ~drop | vbit
-            m += inner.bit_count()
-            slot = _slot(i, m, edges)
-            reads += size
-            weighted += i * size
-            estimate = seconds + 0.6e-6 * reads + 8e-9 * weighted * slot / 64 + rate * (i + 1)
-            nbytes = size * (i * slot // 4 + 150)
-            if estimate > DP_SECONDS or nbytes > DP_BYTES:
-                raise CapError(
-                    f"census DP estimated at {estimate:.1f} s and {nbytes >> 20} MiB or more,"
-                    f" at most {DP_SECONDS} s and {DP_BYTES >> 20} MiB are supported"
-                )
-        seconds = estimate
-        earlier += i
-        yield m, steps
+    component: list[Step] = []
+    used = m = reads = weighted = 0
+    for step in steps:
+        component.append(step)
+        i = len(component)
+        inner, drop, vbit = step
+        size = 1 << used.bit_count()  # states the step reads
+        used = used & ~drop | vbit
+        m += inner.bit_count()
+        slot = _slot(i, m, edges)
+        reads += size
+        weighted += i * size
+        estimate = seconds + 0.6e-6 * reads + 8e-9 * weighted * slot / 64
+        estimate += fold * 0.25e-6 * (earlier + 1) * (i + 1)  # the fold term
+        nbytes = size * (i * slot // 4 + 150)
+        if estimate > DP_SECONDS or nbytes > DP_BYTES:
+            raise CapError(
+                f"census DP estimated at {estimate:.1f} s and {nbytes >> 20} MiB or more,"
+                f" at most {DP_SECONDS} s and {DP_BYTES >> 20} MiB are supported"
+            )
+        if not used:
+            yield m, component
+            seconds, earlier, component = estimate, earlier + i, []
+            m = reads = weighted = 0
 
 
 def _slot(h: int, m: int, edges: bool) -> int:

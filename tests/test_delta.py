@@ -440,16 +440,27 @@ class TestEngineCopies:
 
 
 class TestPlanTables:
-    def test_tables_are_lists_by_rank_and_local_id(self, traced_peak):
+    def test_tables_are_lists_by_rank(self, traced_peak):
         # 10,000 disjoint triangles. The planner holds lists indexed by
-        # endpoint rank and, for one component at a time, by local id:
-        # about 210 bytes a vertex, the plan it returns included. Dicts of
-        # neighbour lists and of counts and a set of the vertices peaked at
-        # 325 bytes a vertex.
+        # endpoint rank, walked once over all the components: about 167
+        # bytes a vertex, the plan it returns included. Lists by local id
+        # for one component at a time, beside a table of those ids, traced
+        # about 219, and dicts of neighbour lists and of counts and a set
+        # of the vertices 325.
         g = Graph.from_edges(30000, [e for i in range(0, 30000, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))])
         plan, peak = traced_peak(lambda: _plan(g, "count"))
         assert len(plan) == 10000
         assert peak < 270 * g.n
+
+    def test_equal_steps_are_one_tuple(self, traced_peak):
+        # A 100,000-edge perfect matching: every component takes the same
+        # two steps, (0, 0, 1) and (1, 1, 0). Shared, they leave the plan
+        # at about 196 bytes a vertex; a new tuple for each step traced
+        # about 260.
+        g = Graph.from_edges(200000, [(2 * i, 2 * i + 1) for i in range(100000)])
+        plan, peak = traced_peak(_plan, g, "count")
+        assert len(plan) == 100000
+        assert peak < 220 * g.n
 
     def test_tables_are_sized_by_endpoints_not_the_largest_id(self, traced_peak):
         # One edge among a million vertices. Tables indexed by vertex id up

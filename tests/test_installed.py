@@ -1,4 +1,4 @@
-"""The command's checks on the paper's own class at scale, as the CI workflow runs them.
+"""The command's checks at scale, on the paper's own class and beside it, as the CI workflow runs them.
 
 CI runs these checks on the installed ``oed``; here the same command runs
 as ``python -m oed`` on the source tree, with the same inputs, expected
@@ -6,9 +6,11 @@ values and bounds, so a change that breaks them fails tier-1 too.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -28,19 +30,29 @@ PEAK = (
 )
 
 
+def source_env() -> dict[str, str]:
+    """The environment with the source tree first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 def oed_peak(err: Path, *args: str) -> tuple[int, int]:
     """(exit code, peak MB) of ``python -m oed args`` on the source tree, its stderr in ``err``."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
         [sys.executable, "-c", PEAK, str(err), sys.executable, "-m", "oed", *args],
-        env=env,
+        env=source_env(),
         capture_output=True,
         text=True,
         check=True,
     ).stdout
     code, mb = map(int, out.split())
     return code, mb
+
+
+def oed_stdout(*args: str) -> str:
+    """The stdout of ``python -m oed args`` on the source tree, which must exit 0 within 20 s, as in CI."""
+    return subprocess.run(
+        [sys.executable, "-m", "oed", *args], env=source_env(), capture_output=True, text=True, check=True, timeout=20
+    ).stdout
 
 
 def canonical_prism_lines(s: int):
@@ -100,3 +112,21 @@ def test_count_refuses_prism_300000_under_235_mb(prism_300000, tmp_path):
     assert code == 3, err
     assert len(err.splitlines()) == 1 and err.startswith("oed: error:"), err
     assert mb < 235, f"count on prism 300000 peaked at {mb} MB"
+
+
+def test_matching_3000_writes_its_wide_counts_in_json_and_csv(tmp_path):
+    # A perfect matching of m edges has W = (1 - x^2)^m, so delta_2j =
+    # (-1)^(j+1) C(m, j) for j >= 1 and delta is 0 at odd k. Its counts run
+    # to 902 digits, and each of its 3,000 components is a single edge.
+    m = 3000
+    path = tmp_path / "matching3000.txt"
+    path.write_text(f"{2 * m} {m}\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(m)))
+    args = ("delta", "--input", str(path), "--engine", "components")
+    delta = [int(x) for x in json.loads(oed_stdout(*args))["delta"]]
+    expected = [0] * (2 * m + 1)
+    for j in range(1, m + 1):
+        expected[2 * j] = (-1) ** (j + 1) * comb(m, j)
+    assert delta == expected, "3,000-edge matching: delta is not -(1 - x^2)^3000 past k = 0"
+    rows = oed_stdout(*args, "--format", "csv").splitlines()
+    assert rows[0] == "k,odd,even,delta"
+    assert [int(r.split(",")[3]) for r in rows[1:]] == delta, "the CSV's delta column is not the JSON's"

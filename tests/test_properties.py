@@ -232,6 +232,10 @@ class TestPlanOrder:
     @example(Graph.from_edges(10, [(0, 7), (7, 9), (0, 9), (1, 3)]))  # {0, 7, 9} and {1, 3}, interleaved
     @example(sparse_ids(3000, 40, 60, 1))
     @example(sparse_ids(5000, 30, 15, 2))
+    @example(  # a perfect matching on shuffled ids, with a triangle among them
+        relabelled(Graph.from_edges(23, [*((i, i + 1) for i in range(0, 20, 2)), (20, 21), (21, 22), (20, 22)]), 3)
+    )
+    @example(Graph.from_edges(50, [(40, 47), (41, 45), (42, 49), (43, 44)]))  # single edges above isolated 0..39
     @settings(deadline=None)
     def test_plan_takes_the_greedy_order(self, g):
         expected = reference_plan(g.n, [(u, v) for u, v in g.edges])

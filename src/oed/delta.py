@@ -412,59 +412,60 @@ def _steps(near: list[list[int]]) -> Iterator[Step]:
     opens on the frontier net of those it closes (v opens if it keeps an
     unprocessed neighbour, and closes each frontier neighbour whose last
     unprocessed neighbour it is), then the most frontier neighbours, then
-    the lowest rank. Only the frontier's unprocessed neighbours compete;
-    any other vertex's key is (1, 0, v). Each key is kept up to date from
-    the counts of its vertex, without a scan of its neighbours. A key only
-    falls, and each fall pushes the new key onto a heap, so a popped key
-    is current unless its vertex has already been taken. When the
-    frontier empties a component is done, and the walk starts the next at
-    the lowest rank not yet taken. A step holds the state bits of the
-    vertex's frontier neighbours, the bits freed after it, and its own bit
-    (0 if it leaves the frontier at once). Equal steps are yielded as one
-    tuple: a sparse graph repeats a few steps many times.
+    the lowest rank. Only the frontier's unprocessed neighbours compete.
+    While v is unprocessed, ``bit[v]`` holds its key as one negative int,
+    (opens - closes - 2) * s - 1 - (its frontier neighbours), with s one
+    more than the number of vertices. The last term lies in [1 - s, -1],
+    so the ints order as the pairs (opens - closes, -(frontier
+    neighbours)) do, and the heap's ints ``bit[v] * s + v``, read back as
+    v = key % s, order as the triples with the rank last. Each key is kept
+    up to date from the counts of its vertex, without a scan of its
+    neighbours. A key only falls, and each fall pushes the new key onto
+    the heap, so a popped key is current unless its vertex has already
+    been taken. When the frontier empties a component is done, and the
+    walk starts the next at the lowest rank not yet taken. A step holds
+    the state bits of the vertex's frontier neighbours, the bits freed
+    after it, and its own bit (0 if it leaves the frontier at once).
+    Equal steps are yielded as one tuple: a sparse graph repeats a few
+    steps many times.
     """
+    s = len(near) + 1
     left = list(map(len, near))  # each vertex's unprocessed neighbours
-    # -1 - (its frontier neighbours) while a vertex is unprocessed, which
-    # orders keys as -(its frontier neighbours) does; then its state bit.
-    bit = [-1] * len(near)
-    closing = [0] * len(near)  # an unprocessed vertex's frontier neighbours that it would close
+    bit = [-s - 1] * len(near)  # an unprocessed vertex's key, then its state bit
     shared: dict[Step, Step] = {}
     used = 0  # the bits held by frontier vertices
     for start in range(len(near)):
         if bit[start] >= 0:
             continue
         v = start
-        keys: list[tuple[int, int, int]] = []  # heap of candidate keys, stale ones included
+        keys: list[int] = []  # heap of candidate keys, stale ones included
         while True:
-            inner = drop = 0
+            # v's bit is 0 while its neighbours are walked, so that the min
+            # below picks a frontier neighbour's one unprocessed neighbour.
+            bit[v] = inner = drop = 0
+            fall = s + 1 if left[v] == 1 else 1  # per unprocessed neighbour; s more if it closes v
             for u in near[v]:
                 left[u] -= 1
-                if (b := bit[u]) > 0:
+                if (b := bit[u]) < 0:
+                    bit[u] = b - fall if left[u] else b - fall - s  # s more if it no longer opens
+                else:
                     inner |= b
                     if not left[u]:
                         drop |= b
+                    if left[u] != 1:
+                        continue
+                    u = min(near[u], key=bit.__getitem__)  # the one left, which would close u
+                    bit[u] -= s
+                heappush(keys, bit[u] * s + u)
             used &= ~drop
             bit[v] = vbit = ~used & (used + 1) if left[v] else 0
             used |= vbit
-            # The keys that changed: those of v's unprocessed neighbours, now
-            # next to v on the frontier, and that of a frontier neighbour's one
-            # unprocessed neighbour left, its only neighbour with a negative bit.
-            for u in near[v]:
-                if bit[u] < 0:
-                    bit[u] -= 1
-                    closing[u] += left[v] == 1
-                elif left[u] == 1:
-                    u = min(near[u], key=bit.__getitem__)
-                    closing[u] += 1
-                if bit[u] < 0:
-                    heappush(keys, ((left[u] > 0) - closing[u], bit[u], u))
             step = inner, drop, vbit
             yield shared.setdefault(step, step)
             if not used:
                 break
-            _, _, v = heappop(keys)
-            while bit[v] >= 0:
-                _, _, v = heappop(keys)
+            while bit[v] >= 0:  # v, just taken, then the vertex of each stale key
+                v = heappop(keys) % s
 
 
 def _price(steps: Iterator[Step], pass_: str) -> Iterator[tuple[int, list[Step]]]:

@@ -40,7 +40,7 @@ from oed import (
     w_polynomial,
 )
 from oed.cli import main
-from oed.delta import _binomial_transform, _groups, _plan, _product, _tree_prod
+from oed.delta import _binomial_transform, _groups, _neighbours, _plan, _product, _steps, _tree_prod
 
 ENGINE_FNS = [delta_naive, delta_graycode, delta_by_components, delta_frontier]
 
@@ -442,7 +442,7 @@ class TestEngineCopies:
 class TestPlanTables:
     def test_tables_are_lists_by_rank(self, traced_peak):
         # 10,000 disjoint triangles. The planner holds lists indexed by
-        # endpoint rank, walked once over all the components: about 167
+        # endpoint rank, walked once over all the components: about 159
         # bytes a vertex, the plan it returns included. Lists by local id
         # for one component at a time, beside a table of those ids, traced
         # about 219, and dicts of neighbour lists and of counts and a set
@@ -455,12 +455,23 @@ class TestPlanTables:
     def test_equal_steps_are_one_tuple(self, traced_peak):
         # A 100,000-edge perfect matching: every component takes the same
         # two steps, (0, 0, 1) and (1, 1, 0). Shared, they leave the plan
-        # at about 196 bytes a vertex; a new tuple for each step traced
+        # at about 188 bytes a vertex; a new tuple for each step traced
         # about 260.
         g = Graph.from_edges(200000, [(2 * i, 2 * i + 1) for i in range(100000)])
         plan, peak = traced_peak(_plan, g, "count")
         assert len(plan) == 100000
         assert peak < 220 * g.n
+
+    def test_walk_keeps_one_key_per_vertex(self, traced_peak):
+        # Prism 20000, one component of the paper's class, walked whole.
+        # Each vertex's greedy key is one int in its bit slot, and the heap
+        # holds ints: about 163 bytes a vertex, the neighbour lists and the
+        # steps included. A third table of the keys' closes and a heap of
+        # tuple keys traced about 203.
+        g = gen_family("prism", 20000)
+        steps, peak = traced_peak(lambda: list(_steps(_neighbours(g))))
+        assert len(steps) == g.n
+        assert peak < 180 * g.n
 
     def test_tables_are_sized_by_endpoints_not_the_largest_id(self, traced_peak):
         # One edge among a million vertices. Tables indexed by vertex id up

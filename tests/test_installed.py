@@ -130,3 +130,33 @@ def test_matching_3000_writes_its_wide_counts_in_json_and_csv(tmp_path):
     rows = oed_stdout(*args, "--format", "csv").splitlines()
     assert rows[0] == "k,odd,even,delta"
     assert [int(r.split(",")[3]) for r in rows[1:]] == delta, "the CSV's delta column is not the JSON's"
+
+
+def test_count_on_prism_1600_is_the_trace_of_the_transfer_matrix_power(tmp_path):
+    # count runs the W pass ungraded and is priced at the graded slot of
+    # h + 1 bits, which admits prism 1600. Its covers number trace(T^1600),
+    # T the rung-to-rung transfer matrix over what a cover leaves out of a
+    # rung: neither end, the first or the second, never both ends of an edge.
+    path = tmp_path / "prism1600.txt"
+    path.write_text(oed_stdout("gen", "prism", "1600"))
+    count = int(json.loads(oed_stdout("count", "--input", str(path)))["count"])
+    t = [[1, 1, 1], [1, 0, 1], [1, 1, 0]]
+    p = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(1600):
+        p = [[sum(p[i][k] * t[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    assert count == sum(p[i][i] for i in range(3)), "prism 1600: count is not trace(T^1600)"
+
+
+@pytest.mark.parametrize("family,size,covers", [("complete_bipartite", 10, 2047), ("complete", 19, 20)])
+def test_count_and_both_dp_engines_on_dense_graphs(tmp_path, family, size, covers):
+    # count forms only W, by a pass over independent frontier states, so
+    # K_{10,10} and K_19 finish at once; both DP engines agree on delta.
+    # K_{10,10} has 2 * 2^10 - 1 covers and K_19 has 20.
+    path = tmp_path / "g.txt"
+    path.write_text(oed_stdout("gen", family, str(size)))
+    assert json.loads(oed_stdout("count", "--input", str(path)))["count"] == str(covers)
+    frontier, components = (
+        json.loads(oed_stdout("delta", "--input", str(path), "--engine", engine))["delta"]
+        for engine in ("frontier", "components")
+    )
+    assert frontier == components, f"delta differs on {family} {size}"

@@ -236,6 +236,8 @@ class TestPlanOrder:
         relabelled(Graph.from_edges(23, [*((i, i + 1) for i in range(0, 20, 2)), (20, 21), (21, 22), (20, 22)]), 3)
     )
     @example(Graph.from_edges(50, [(40, 47), (41, 45), (42, 49), (43, 44)]))  # single edges above isolated 0..39
+    @example(relabelled(gen_family("prism", 20), 1))  # each key falls in one walk over the neighbours, in their order
+    @example(relabelled(gen_family("complete_bipartite", 4), 2))
     @settings(deadline=None)
     def test_plan_takes_the_greedy_order(self, g):
         expected = reference_plan(g.n, [(u, v) for u, v in g.edges])

@@ -22,7 +22,7 @@ from reference import ENGINE_NAMES, FAMILY_NAMES, reference_parser
 
 import oed
 from oed import ENGINES, MAX_VERTICES, VERTEX_CAP, DeltaProfile, Graph, gen_family, to_edge_list
-from oed.cli import WRITE_BYTES, UsageError, _write_csv_profile, _write_json_profile, main, parse_args
+from oed.cli import WRITE_BYTES, UsageError, _usage, _write_csv_profile, _write_json_profile, main, parse_args
 from oed.graph import MAX_GENERATED_EDGES, MAX_TOKEN_CHARS
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
@@ -1000,3 +1000,7 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta"] == ["0", "0", "3", "-2"]
+        helps = [(["--help"], None), (["-h"], None), (["delta", "--help"], "delta"), (["delta", "-h"], "delta")]
+        for argv, command in helps:
+            proc = subprocess.run(["oed", *argv], capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, _usage(command), "")

@@ -453,13 +453,13 @@ class TestPlanTables:
         assert peak < 270 * g.n
 
     def test_equal_steps_are_one_tuple(self, traced_peak):
-        # A 100,000-edge perfect matching: every component takes the same
+        # A 20,000-edge perfect matching: every component takes the same
         # two steps, (0, 0, 1) and (1, 1, 0). Shared, they leave the plan
-        # at about 188 bytes a vertex; a new tuple for each step traced
-        # about 260.
-        g = Graph.from_edges(200000, [(2 * i, 2 * i + 1) for i in range(100000)])
+        # at about 187 bytes a vertex; a new tuple for each step traced
+        # about 254.
+        g = Graph.from_edges(40000, [(2 * i, 2 * i + 1) for i in range(20000)])
         plan, peak = traced_peak(_plan, g, "count")
-        assert len(plan) == 100000
+        assert len(plan) == 20000
         assert peak < 220 * g.n
 
     def test_walk_keeps_one_key_per_vertex(self, traced_peak):

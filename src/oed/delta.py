@@ -28,12 +28,16 @@ Both DP engines compute each polynomial from one pass of
 size polynomial at y = 2^slot. ``_groups`` reads the counts out of it at
 a slot wide enough that none carries, and ``_product`` multiplies their
 binomial transforms. Components often repeat their counts, and each
-distinct count vector is transformed once. A factor that repeats is
-raised to its power by a recurrence in one pass, and one that occurs
-once or twice is folded in. Trailing zeros of the counts are factors
-(1 - x): those of repeated counts pool into one power, which roughly
-halves the recurrence's work on repeated W_c, and those of a folded
-factor join the pool only where that makes its fold cheaper.
+distinct count vector is transformed once, to its true degree: a W_c
+whose independence polynomial vanishes at -1 has a zero top coefficient,
+which is dropped. A factor that repeats is raised to its power by a
+recurrence in one pass, which stops at the power's true degree, and those
+that occur once or twice are multiplied together and folded in once.
+Trailing zeros of the counts are factors (1 - x): those of repeated
+counts pool into one power, which roughly halves the recurrence's work
+on repeated W_c, and those of a folded factor join the pool only where
+that makes its fold cheaper. The product is padded with zeros to one
+more coefficient than the components' vertices, as the engines expect.
 
 The same DP also gives the cover count, ``vc_count_reduction``: a subset
 S of vertices covers when every edge has an endpoint in S, and
@@ -49,7 +53,8 @@ no coefficient is packed; no product of polynomials is formed. An
 isolated vertex adds no factor to W and one factor of 2 through 2^n.
 This module holds no cover oracle; those are in ``oed.covers``.
 
-The enumeration engines refuse more than EDGE_CAP edges. The DP's cost
+The enumeration engines refuse more than EDGE_CAP edges, and a sweep
+priced over DP_SECONDS at their measured rate per subset. The DP's cost
 grows with the frontier width, not with 2^m; it is estimated before the
 DP runs, and refused over DP_SECONDS or DP_BYTES. All counts are plain
 Python integers, hence arbitrary precision end to end. Every engine runs
@@ -58,8 +63,10 @@ in-process and serially.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter, namedtuple
 from collections.abc import Iterator
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain, repeat, zip_longest
 from operator import add, mul, sub
@@ -73,6 +80,12 @@ EDGE_CAP = 62
 # estimated peak size of its state table in bytes (see ``_price``).
 DP_SECONDS = 60
 DP_BYTES = 512 << 20
+
+# The enumeration engines' price in seconds per subset, refused over
+# DP_SECONDS for all 2^m - 1: about their rates on one core of a 2-CPU x86
+# box with Python 3.11, on prism 8 and on random graphs of 16 to 24 edges.
+NAIVE_SECONDS = 1.3e-6
+GRAY_SECONDS = 0.22e-6
 
 
 class DeltaProfile(namedtuple("DeltaProfile", "n odd_counts even_counts delta")):
@@ -230,9 +243,16 @@ def _negate(w: list[int]) -> list[int]:
     return w
 
 
-def _check_edge_cap(m: int) -> None:
+def _check_sweep(m: int, per_subset: float) -> None:
+    """Refuse a sweep of 2^m - 1 subsets past EDGE_CAP, or priced at over DP_SECONDS."""
     if m > EDGE_CAP:
         raise CapError(f"graph has {m} edges, enumeration engines support at most {EDGE_CAP}")
+    estimate = ((1 << m) - 1) * per_subset
+    if estimate > DP_SECONDS:
+        raise CapError(
+            f"sweep of 2^{m} - 1 edge subsets estimated at {estimate:.1f} s,"
+            f" at most {DP_SECONDS} s is supported"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +264,20 @@ def delta_naive(g: Graph) -> DeltaProfile:
 
     Every subset is evaluated independently of enumeration order; this is
     the reference engine the others are checked against. An edgeless
-    graph yields the all-zero profile.
+    graph yields the all-zero profile. Refused before the sweep when
+    priced over DP_SECONDS at NAIVE_SECONDS a subset.
     """
-    _check_edge_cap(g.m)
+    _check_sweep(g.m, NAIVE_SECONDS)
     return _parity_profile(g.n, *_naive_census(g))
 
 
 def delta_graycode(g: Graph) -> DeltaProfile:
-    """Census by Gray-code enumeration; output is identical to delta_naive."""
-    _check_edge_cap(g.m)
+    """Census by Gray-code enumeration; output is identical to delta_naive.
+
+    Refused before the sweep when priced over DP_SECONDS at GRAY_SECONDS a
+    subset.
+    """
+    _check_sweep(g.m, GRAY_SECONDS)
     return _parity_profile(g.n, *_gray_census(g))
 
 
@@ -277,14 +302,18 @@ def delta_by_components(g: Graph) -> DeltaProfile:
 
 
 def _binomial_transform(c: tuple[int, ...]) -> DeltaPolynomial:
-    """Coefficients of sum_t c_t x^t (1-x)^(h-t), h = len(c) - 1.
+    """Coefficients of sum_t c_t x^t (1-x)^(h-t), h = len(c) - 1, to its true degree.
 
     Coefficient k is sum_t (-1)^(k-t) C(h-t, k-t) c_t; built by Horner's
     rule, r <- r * (1 - x) + c_t x^t, in O(h^2) integer subtractions.
+    Trailing zero coefficients are dropped: the top one, sum_t c_t (-1)^(h-t),
+    is zero whenever a W_c's independence polynomial vanishes at -1.
     """
     r: list[int] = []
     for ct in c:
         r = [x - y for x, y in zip(r + [ct], [0] + r)]
+    while r and not r[-1]:
+        r.pop()
     return DeltaPolynomial(tuple(r))
 
 
@@ -311,14 +340,21 @@ def _product(groups: Counter[tuple[int, ...]]) -> DeltaPolynomial:
 
     Building F takes about deg Q * deg F big-integer products, a fold
     sum_j e_j deg W_j passes over it; pooling (1 - x) about halves deg Q
-    on repeated W_c. The other factors are folded onto F, in order, by
-    ``DeltaPolynomial.__mul__``. On L coefficients, one with alpha + 1
-    leading counts and z zeros costs (alpha + z + 1) L products whole, or
-    (alpha + 1)(L + z) + z deg Q with its zeros pooled; they are pooled
-    only beside a pool and where L > alpha + 1 + deg Q. The threshold 3 is
-    measured: 3, 4 and 6 ran alike on repeated W_c, and 2 made products
-    of mostly distinct P_c slower. A sum that k does not divide, from a
-    repeated vector with c_0 != 1, raises EngineDisagreement.
+    on repeated W_c. Each transform is taken to its true degree, so where
+    a top coefficient vanishes the recurrence stops short of the padded
+    degree, at F's true degree. The other factors, those seen once or
+    twice, are multiplied together, in order, and their product is folded
+    onto F once, all by ``DeltaPolynomial.__mul__``. Whether a folded factor's
+    zeros join the pool is decided by the cost of folding it alone: on L
+    coefficients, one with alpha + 1 leading counts and z zeros costs
+    (alpha + z + 1) L products whole, or (alpha + 1)(L + z) + z deg Q with
+    its zeros pooled; they are pooled only beside a pool and where
+    L > alpha + 1 + deg Q. The threshold 3 is measured: 3, 4 and 6 ran
+    alike on repeated W_c, and 2 made products of mostly distinct P_c
+    slower. The result is padded with zeros to 1 + sum e (len(c) - 1)
+    coefficients over ``groups``, the length of the product of the padded
+    transforms. A sum that k does not divide, from a repeated vector with
+    c_0 != 1, raises EngineDisagreement.
     """
     bases: Counter[tuple[int, ...]] = Counter()  # repeated counts without their trailing zeros
     z = 0  # the pooled power of (1 - x)
@@ -341,9 +377,9 @@ def _product(groups: Counter[tuple[int, ...]]) -> DeltaPolynomial:
     if z:
         repeated.append((DeltaPolynomial((1, -1)), z))
     product = _power(repeated)
-    for w in folds:
-        product = product * w
-    return product
+    if folds:
+        product = product * reduce(mul, folds)
+    return DeltaPolynomial(product.coeffs + (0,) * (length + z - len(product.coeffs)))
 
 
 def _power(repeated: list[tuple[DeltaPolynomial, int]]) -> DeltaPolynomial:
@@ -381,9 +417,19 @@ def _plan(g: Graph, pass_: str) -> list[tuple[int, list[Step]]]:
     ``_neighbours`` gives the endpoints' neighbour lists by rank,
     ``_steps`` one greedy walk over all of them, and ``_price`` prices
     each step as it is made and cuts the walk into components, so a
-    refused graph stops partway through its steps.
+    refused graph stops partway through its steps. The cyclic collector is
+    paused while they run, as their tables hold no reference cycles: on a
+    large sparse graph each of its many new lists would otherwise count
+    towards collections that traverse all the lists made before. The
+    caller's setting is restored on return and on CapError.
     """
-    return list(_price(_steps(_neighbours(g)), pass_))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(_price(_steps(_neighbours(g)), pass_))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _neighbours(g: Graph) -> list[list[int]]:

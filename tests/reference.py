@@ -135,6 +135,59 @@ def reference_plan(n, edges):
     return plan
 
 
+def binomial_expansion(h, counts):
+    """Coefficients of sum_t c_t x^t (1 - x)^(h - t), term by term: k gives sum_t c_t (-1)^(k-t) C(h-t, k-t)."""
+    return [
+        sum(c * (-1) ** (k - t) * comb(h - t, k - t) for t, c in enumerate(counts[: k + 1]))
+        for k in range(h + 1)
+    ]
+
+
+def prism_census(s):
+    """(odd, even) census of the prism over an s-cycle, s >= 3, by transfer matrices.
+
+    The prism has s rungs {i, s + i} in a ring, rung i joined to rung
+    i + 1 (mod s) at both ends. A rung's state is which of its two vertices
+    lie in a vertex set T. Going round the ring, each rung's state tau,
+    after the state sigma of the rung before it, weighs y^|tau| times, for
+    A, 2 to the edges inside tau and between sigma and tau, and for B, 1
+    when there are no such edges and 0 otherwise. The coefficient of y^t in
+    the trace of the s-th power of the 4 x 4 matrix of weights is A_t, the
+    sum of 2^e(T) over the t-vertex sets T, or B_t, the number of
+    independent ones (Stanley, Enumerative Combinatorics 1, 4.7). Then
+    P(x) = sum_t A_t x^t (1 - x)^(2s - t) counts the edge subsets F by
+    x^|V(F)|, the empty one included, W(x) likewise from B_t counts them
+    signed by (-1)^|F|, and O_k = (P_k - W_k) / 2, E_k = (P_k + W_k) / 2
+    for k >= 1.
+    """
+    h = 2 * s
+    states = [(a, b) for a in (0, 1) for b in (0, 1)]
+
+    def trace(weight):
+        total = [0] * (h + 1)
+        for start in states:
+            row = {state: [0] * (h + 1) for state in states}  # polynomials in y
+            row[start][0] = 1
+            for _ in range(s):
+                after = {state: [0] * (h + 1) for state in states}
+                for sigma, poly in row.items():
+                    for tau in states:
+                        w = weight(tau[0] * tau[1] + sigma[0] * tau[0] + sigma[1] * tau[1])
+                        shift = sum(tau)
+                        target = after[tau]
+                        for t in range(h + 1 - shift):
+                            target[t + shift] += w * poly[t]
+                row = after
+            total = [a + b for a, b in zip(total, row[start])]
+        return total
+
+    p = binomial_expansion(h, trace(lambda e: 2**e))
+    w = binomial_expansion(h, trace(lambda e: int(e == 0)))
+    odd = [0] + [(pk - wk) // 2 for pk, wk in zip(p[1:], w[1:])]
+    even = [0] + [(pk + wk) // 2 for pk, wk in zip(p[1:], w[1:])]
+    return odd, even
+
+
 def reference_delta(n, edges):
     odd, even = reference_census(n, edges)
     return [o - e for o, e in zip(odd, even)]

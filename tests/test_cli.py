@@ -439,6 +439,28 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["n"] == 12
         assert_over_work_cap(tmp_path, capsys, "frontier")
 
+    @pytest.mark.parametrize("engine,seconds", [("naive", "89335.3"), ("gray", "15118.3")])
+    def test_sweep_price_exit_3(self, tmp_path, engine, seconds):
+        # prism 12 has 36 edges, under the edge cap: the enumeration engine
+        # prices its 2^36 - 1 subsets and refuses them before it sweeps.
+        path = tmp_path / "prism12.txt"
+        assert main(["gen", "prism", "12", "--output", str(path)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "oed", "delta", "--engine", engine, "--input", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3,
+            "",
+            f"oed: error: sweep of 2^36 - 1 edge subsets estimated at {seconds} s, at most 60 s is supported\n",
+        )
+
     def test_count_prices_no_product(self, tmp_path, capsys):
         # count multiplies one int per component and forms no W product, so
         # the matching that the engines refuse for their folds is counted.

@@ -1,5 +1,6 @@
 """Census engines against frozen values and the itertools reference oracle."""
 
+import gc
 import json
 import random
 import sys
@@ -9,8 +10,10 @@ from math import comb, prod
 
 import pytest
 from reference import (
+    binomial_expansion,
     census_cover_count,
     complete_graph_census,
+    prism_census,
     reference_census,
     reference_delta,
     reference_non_cover_count,
@@ -235,6 +238,20 @@ class TestCaps:
         profile = delta_by_components(g)
         assert sum(profile.delta) == 1
 
+    @pytest.mark.parametrize(
+        "engine,census,admitted",
+        [(delta_naive, "_naive_census", 25), (delta_graycode, "_gray_census", 28)],
+        ids=["naive", "gray"],
+    )
+    def test_sweep_priced_at_its_engines_rate(self, monkeypatch, engine, census, admitted):
+        # Stars of m edges, the sweep stubbed out: each engine's rate per
+        # subset admits 2^m - 1 subsets up to its m, prism 8's 24 included.
+        monkeypatch.setattr(oed.delta, census, lambda g: ([0], [0]))
+        for m in (24, admitted):
+            engine(gen_family("star", m + 1))
+        with pytest.raises(CapError, match=f"sweep of 2\\^{admitted + 1} - 1 edge subsets"):
+            engine(gen_family("star", admitted + 2))
+
     def test_inclusion_exclusion_cap(self):
         g = gen_family("prism", 8)  # 24 edges
         with pytest.raises(CapError, match="at most 20"):
@@ -397,7 +414,7 @@ class TestPooledPowers:
         path = gen_family("path", 201)
         g = disjoint_union(path, triangles(3))
         independent = [comb(202 - t, t) for t in range(102)]
-        w = DeltaPolynomial(tuple(closed_form_w(201, independent))) * triangles_w(3)
+        w = DeltaPolynomial(tuple(binomial_expansion(201, independent))) * triangles_w(3)
         lengths = []
         plain = DeltaPolynomial.__mul__
 
@@ -437,6 +454,32 @@ class TestEngineCopies:
         # Folds that build each new slice beside the old one and F peak at
         # about 4.2 times the product's ints.
         assert peak < 2.3 * int_bytes(product.coeffs)
+
+
+class TestPlanCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_paused_and_restored(self, monkeypatch, enabled):
+        # _plan's tables hold no reference cycles, so it pauses the cyclic
+        # collector while it builds them, and hands back the caller's setting.
+        seen = []
+        neighbours = oed.delta._neighbours
+
+        def recorded(g):
+            seen.append(gc.isenabled())
+            return neighbours(g)
+
+        monkeypatch.setattr(oed.delta, "_neighbours", recorded)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert len(_plan(triangles(3), "W")) == 3
+            assert gc.isenabled() is enabled
+            with pytest.raises(CapError):
+                _plan(gen_family("complete", 40), "A")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
 
 
 class TestPlanTables:
@@ -511,20 +554,45 @@ def wide_groups(seed: int) -> Counter[tuple[int, ...]]:
     return groups
 
 
+class TestTrueDegree:
+    def test_transform_drops_a_vanishing_top_coefficient(self):
+        # 1 (1-x)^2 + 5x (1-x) + 4x^2 = 1 + 3x: a component's W_c loses its
+        # top coefficient where its independence polynomial vanishes at -1.
+        assert _binomial_transform((1, 5, 4)) == DeltaPolynomial((1, 3))
+        assert _binomial_transform((1, 4, 3)) == DeltaPolynomial((1, 2))
+        assert _binomial_transform((1, 2, 1)) == DeltaPolynomial((1,))
+
+
+class TestPrismTransferMatrix:
+    """The transfer-matrix oracle of ``tests/reference.py`` on the paper's own class.
+
+    A prism over an even cycle is 3-regular, bipartite and planar. Past
+    prism 8, the largest ``gray`` sweeps here, the oracle checks the P
+    product that no other test checks at these sizes.
+    """
+
+    @pytest.mark.parametrize("s", [4, 6, 8])
+    def test_oracle_is_grays_census(self, s):
+        profile = delta_graycode(gen_family("prism", s))
+        assert prism_census(s) == (list(profile.odd_counts), list(profile.even_counts))
+
+    @pytest.mark.parametrize("s", [4, 6, 10, 16, 26, 50, 76, 100])
+    def test_dp_engines_match_the_oracle(self, s, tmp_path, capsys):
+        odd, even = prism_census(s)
+        delta = [o - e for o, e in zip(odd, even)]
+        g = gen_family("prism", s)
+        frontier = delta_json(g, "frontier", tmp_path, capsys)
+        assert [[int(x) for x in frontier[key]] for key in ("O", "E", "delta")] == [odd, even, delta]
+        components = delta_json(g, "components", tmp_path, capsys)
+        assert [int(x) for x in components["delta"]] == delta
+
+
 class TestProductExactnessChecks:
     def test_fractional_power_coefficient_raises(self):
         # A repeated base whose constant term is not 1 breaks the recurrence's
         # division by k: (1, 3) and (3, 4) are the counts of 1 + 2x and 3 + x.
         with pytest.raises(EngineDisagreement, match="fractional coefficient"):
             _product(Counter({(1, 3): 4, (3, 4): 3}))
-
-
-def closed_form_w(h: int, independent: list[int]) -> list[int]:
-    """W_k = sum_t B_t (-1)^(k-t) C(h-t, k-t): the coefficients of sum_t B_t x^t (1-x)^(h-t)."""
-    return [
-        sum(b * (-1) ** (k - t) * comb(h - t, k - t) for t, b in enumerate(independent[: k + 1]))
-        for k in range(h + 1)
-    ]
 
 
 # Graphs of 100 to 499 edges, past every enumeration oracle, whose independence
@@ -541,7 +609,7 @@ CLOSED_FORMS = [
 class TestIndependencePolynomialClosedForms:
     @pytest.mark.parametrize("engine", [delta_frontier, delta_by_components])
     def test_delta_is_minus_w(self, g, independent, covers, engine):
-        w = closed_form_w(g.n, independent)
+        w = binomial_expansion(g.n, independent)
         assert w[0] == 1
         assert engine(g).delta == (0, *(-x for x in w[1:]))
 

@@ -6,7 +6,7 @@ from math import comb
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import census_cover_count, reference_census, reference_delta, reference_plan
+from reference import binomial_expansion, census_cover_count, reference_census, reference_delta, reference_plan
 
 from oed import (
     CapError,
@@ -383,6 +383,41 @@ class TestRepeatedProduct:
         product = _product(Counter(map(counts_of, factors)))
         assert product == folded(factors)
         assert len(product.coeffs) == sum(len(f.coeffs) - 1 for f in factors) + 1
+
+
+def zero_top(c):
+    """c with its last count moved so that sum_t c_t (-1)^(h-t), the transform's top coefficient, is 0."""
+    top = sum(ct * (-1) ** (len(c) - 1 - t) for t, ct in enumerate(c))
+    return (*c[:-1], c[-1] - top)
+
+
+@st.composite
+def count_vectors(draw):
+    """Counts with c_0 = 1, as ``_groups`` gives them, up to two trailing zeros.
+
+    Half of them end in a count moved so that the transform's top
+    coefficient vanishes, as (1, 5, 4) and (1, 4, 3) do.
+    """
+    c = (1, *draw(st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        c = zero_top(c)
+    return c + (0,) * draw(st.integers(min_value=0, max_value=2))
+
+
+class TestProductToTrueDegree:
+    @given(st.dictionaries(count_vectors(), st.integers(min_value=1, max_value=6), max_size=4))
+    @example({(1, 5, 4): 3})
+    @example({(1, 5, 4): 1, (1, 4, 3): 2})
+    @example({(1, 4, 3): 4, (1, 5, 4): 1, (1, 2): 2})
+    @example({(1, 5, 4): 6, (1, 4, 3): 3, (1, 3, 0): 1})  # a zero top beside a pooled power
+    @example({(1, 4, 3, 0, 0): 3, (1, 5, 4): 2})
+    @settings(deadline=None)
+    def test_product_is_the_schoolbook_fold_of_the_padded_transforms(self, groups):
+        expected = (1,)
+        for c, e in groups.items():
+            for _ in range(e):
+                expected = schoolbook(expected, binomial_expansion(len(c) - 1, c))
+        assert _product(Counter(groups)).coeffs == expected
 
 
 class TestCoverInvariants:

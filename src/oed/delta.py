@@ -23,11 +23,14 @@ Four interchangeable engines compute the census:
                         independent sets, multiplying only the component
                         polynomials W(x) = 1 - D(x). Returns delta only.
 
-Both DP engines compute each polynomial from one pass of
-``_vertex_sums`` per component, which returns one int: the component's
-size polynomial at y = 2^slot. ``_groups`` reads the counts out of it at
-a slot wide enough that none carries, and ``_product`` multiplies their
-binomial transforms. Components often repeat their counts, and each
+The plan holds each distinct step list once, with the number of
+components that take it: relabelled copies of a component walk to equal
+steps, so they have equal counts. Both DP engines compute each
+polynomial from one pass of ``_vertex_sums`` per distinct step list,
+which returns one int: the component's size polynomial at y = 2^slot.
+``_groups`` reads the counts out of it at a slot wide enough that none
+carries, and ``_product`` multiplies their binomial transforms.
+Components with other steps often repeat their counts too, and each
 distinct count vector is transformed once, to its true degree: a W_c
 whose independence polynomial vanishes at -1 has a zero top coefficient,
 which is dropped. A factor that repeats is raised to its power by a
@@ -49,8 +52,10 @@ component's W_c(x) = (1-x)^h_c I_c(x / (1-x)), I_c its independence
 polynomial sum_t B_t x^t on h_c vertices, so W_c(1/2) = 2^-h_c sum_t B_t
 and the count is 2^(isolated) * prod_c sum_t B_t. Each sum_t B_t = I_c(1)
 is the component's W pass run at slot 0, where it returns the total and
-no coefficient is packed; no product of polynomials is formed. An
-isolated vertex adds no factor to W and one factor of 2 through 2^n.
+no coefficient is packed. It runs once per distinct step list, and its
+total is raised to the number of components that take it; no product of
+polynomials is formed. An isolated vertex adds no factor to W and one
+factor of 2 through 2^n.
 This module holds no cover oracle; those are in ``oed.covers``.
 
 The enumeration engines refuse more than EDGE_CAP edges, and a sweep
@@ -284,13 +289,13 @@ def delta_graycode(g: Graph) -> DeltaProfile:
 def delta_by_components(g: Graph) -> DeltaProfile:
     """Census via per-component factorization of W(x) = 1 - D(x).
 
-    Each component runs one pass of ``_vertex_sums``, over its independent
-    sets only, planned and priced for that pass alone, as for
-    ``vc_count_reduction``; the binomial transform of their counts B_t is
-    its W polynomial: W_0 = B_0 = 1, and W_k = E_k - O_k for k >= 1. Only
-    the W product is formed, so only delta is recovered and odd/even counts
-    are marked not computed. Components with equal counts share one
-    transform and one power in ``_product``.
+    Each distinct step list of the plan runs one pass of ``_vertex_sums``,
+    over its independent sets only, planned and priced for that pass alone,
+    as for ``vc_count_reduction``; the binomial transform of a component's
+    counts B_t is its W polynomial: W_0 = B_0 = 1, and W_k = E_k - O_k for
+    k >= 1. Only the W product is formed, so only delta is recovered and
+    odd/even counts are marked not computed. Components with equal counts
+    share one transform and one power in ``_product``.
     """
     n = g.n
     plan = _plan(g, "W")
@@ -405,28 +410,32 @@ def _power(repeated: list[tuple[DeltaPolynomial, int]]) -> DeltaPolynomial:
 
 
 Step = tuple[int, int, int]  # (inner, drop, vbit): see ``_steps``
+Plan = Counter[tuple[int, tuple[Step, ...]]]  # (m_c, steps) -> the components that take them
 
 
-def _plan(g: Graph, pass_: str) -> list[tuple[int, list[Step]]]:
-    """(m_c, steps) for each component with an edge, in the DP's order, priced for ``pass_``.
+def _plan(g: Graph, pass_: str) -> Plan:
+    """Each distinct (m_c, steps) of the components with an edge, with how many take it.
 
-    ``pass_`` names the pass of ``_vertex_sums`` that the plan is priced
+    The keys are in the order of their first component in the walk, the
+    steps as one tuple; equal steps fix m_c, so a key is a whole pass of
+    ``_vertex_sums``. ``pass_`` names the pass that the plan is priced
     for: "A", the A pass of ``delta_frontier``, which bounds both of its
     passes; "W", the graded W pass of ``delta_by_components``; or "count",
     the W pass of ``vc_count_reduction``. Three stages make the plan:
     ``_neighbours`` gives the endpoints' neighbour lists by rank,
     ``_steps`` one greedy walk over all of them, and ``_price`` prices
     each step as it is made and cuts the walk into components, so a
-    refused graph stops partway through its steps. The cyclic collector is
-    paused while they run, as their tables hold no reference cycles: on a
-    large sparse graph each of its many new lists would otherwise count
-    towards collections that traverse all the lists made before. The
-    caller's setting is restored on return and on CapError.
+    refused graph stops partway through its steps. Every component is
+    priced, a repeated one too. The cyclic collector is paused while they
+    run, as their tables hold no reference cycles: on a large sparse graph
+    each of its many new lists would otherwise count towards collections
+    that traverse all the lists made before. The caller's setting is
+    restored on return and on CapError.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return list(_price(_steps(_neighbours(g)), pass_))
+        return Counter((m, tuple(steps)) for m, steps in _price(_steps(_neighbours(g)), pass_))
     finally:
         if enabled:
             gc.enable()
@@ -435,14 +444,20 @@ def _plan(g: Graph, pass_: str) -> list[tuple[int, list[Step]]]:
 def _neighbours(g: Graph) -> list[list[int]]:
     """The neighbour lists of the N endpoints, indexed by their rank in id order.
 
-    The endpoints are ranked as themselves when they are 0..N-1, and
-    through a dict otherwise. So every table of the plan is sized by the
-    endpoints, not by the largest id; the dict is freed on return.
+    The endpoints are ranked as themselves when they are 0..N-1; otherwise
+    through a list indexed by id when the largest id is below 2N, and
+    through a dict beyond that. So every table of the plan is sized by the
+    endpoints, within a factor of 2, not by the largest id; the list or
+    dict is freed on return.
     """
     ends = set(chain.from_iterable(g.edges))
     ids = chain.from_iterable(g.edges)
-    if len(ends) <= max(ends, default=-1):  # the endpoints are not 0..N-1
-        ids = map(dict(zip(sorted(ends), range(len(ends)))).__getitem__, ids)
+    top = max(ends, default=-1) + 1
+    if len(ends) < top:  # the endpoints are not 0..N-1
+        rank: list[int] | dict[int, int] = [0] * top if top <= 2 * len(ends) else {}
+        for r, v in enumerate(sorted(ends)):
+            rank[v] = r
+        ids = map(rank.__getitem__, ids)
     near: list[list[int]] = [[] for _ in ends]
     del ends
     for u, v in zip(ids, ids):
@@ -518,6 +533,9 @@ def _price(steps: Iterator[Step], pass_: str) -> Iterator[tuple[int, list[Step]]
     """(m_c, steps) for each component of the walk ``steps``, each step priced as it comes.
 
     A component ends where the bits held by the frontier return to 0.
+    Each component is priced as if its pass ran on its own, so where
+    ``_plan`` finds components with equal steps, which share one pass, the
+    price is an upper bound.
     Model, per pass of ``_vertex_sums``: a step reading the 2^w states of
     a w-vertex frontier costs 2^w * (0.6 us + 8 ns * words) and
     2^w * (16 * words + 150) bytes, for two ints per state of that many
@@ -579,7 +597,7 @@ def _slot(h: int, m: int, edges: bool) -> int:
     return h + m + 1 if edges else h + 1
 
 
-def _vertex_sums(steps: list[Step], slot: int, edges: bool) -> int:
+def _vertex_sums(steps: tuple[Step, ...], slot: int, edges: bool) -> int:
     """One component's sum_t c_t y^t at y = 2^slot, as one int.
 
     With ``edges`` c_t is A_t, the sum of 2^e(T) over its t-vertex subsets
@@ -610,18 +628,21 @@ def _vertex_sums(steps: list[Step], slot: int, edges: bool) -> int:
     return states[0]
 
 
-def _groups(plan: list[tuple[int, list[Step]]], edges: bool) -> Counter[tuple[int, ...]]:
+def _groups(plan: Plan, edges: bool) -> Counter[tuple[int, ...]]:
     """Each distinct count vector (A_t, or B_t without ``edges``) of the plan's components.
 
     Its value is the number of components that share it, so ``_product``
-    transforms each once. A component's ``_vertex_sums`` holds coefficient t
-    in bits [t*slot, (t+1)*slot), the slot given by ``_slot``.
+    transforms each once. ``_vertex_sums`` runs once per key of the plan,
+    whose count it adds, and holds coefficient t in bits
+    [t*slot, (t+1)*slot), the slot given by ``_slot``. The keys are read in
+    the plan's order, so each count vector comes first where its first
+    component is.
     """
     groups: Counter[tuple[int, ...]] = Counter()
-    for m, steps in plan:
+    for (m, steps), e in plan.items():
         slot = _slot(len(steps), m, edges)
         total, low = _vertex_sums(steps, slot, edges), (1 << slot) - 1
-        groups[tuple(total >> (t * slot) & low for t in range(len(steps) + 1))] += 1
+        groups[tuple(total >> (t * slot) & low for t in range(len(steps) + 1))] += e
     return groups
 
 
@@ -629,14 +650,16 @@ def vc_count_reduction(g: Graph) -> int:
     """Cover count via the census: 2^n * W(1/2), exactly.
 
     2^h_c * W_c(1/2) = sum_t B_t, the component's number of independent
-    sets, which its W pass returns at slot 0. The count is the product of
-    these totals, by ``_tree_prod``, shifted left by n - h, h the vertices
-    with an edge. The plan is priced as the graded W pass, so its price
-    bounds this pass.
+    sets, which its W pass returns at slot 0. The pass runs once per
+    distinct step list of the plan, and its total is raised to the power
+    e, the number of components that take it. The count is the product of
+    these powers, by ``_tree_prod``, shifted left by n - h, h the vertices
+    with an edge: the sum of e times the steps' length. The plan is priced
+    as the graded W pass, so its price bounds this pass.
     """
     plan = _plan(g, "count")
-    count = _tree_prod([_vertex_sums(steps, 0, False) for _, steps in plan])
-    return count << (g.n - sum(len(steps) for _, steps in plan))
+    count = _tree_prod([_vertex_sums(steps, 0, False) ** e for (_, steps), e in plan.items()])
+    return count << (g.n - sum(e * len(steps) for (_, steps), e in plan.items()))
 
 
 def _tree_prod(factors: list[int]) -> int:
@@ -655,8 +678,8 @@ def _tree_prod(factors: list[int]) -> int:
 def delta_frontier(g: Graph) -> DeltaProfile:
     """Census from vertex subsets, by a DP over a narrow vertex order.
 
-    Each component runs two passes of ``_vertex_sums`` along its steps of
-    ``_plan``, one per polynomial. Mobius inversion turns its A_t into
+    Each distinct step list of ``_plan`` runs two passes of
+    ``_vertex_sums``, one per polynomial. Mobius inversion turns its A_t into
     P_c(x) = sum_t A_t x^t (1-x)^(h_c-t), which counts its edge subsets F,
     the empty one included, by x^|V(F)|, and its B_t into W_c(x) likewise.
     Both multiply over components, in ``_product``, which raises a

@@ -472,7 +472,7 @@ class TestPlanCollector:
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
-            assert len(_plan(triangles(3), "W")) == 3
+            assert sum(_plan(triangles(3), "W").values()) == 3
             assert gc.isenabled() is enabled
             with pytest.raises(CapError):
                 _plan(gen_family("complete", 40), "A")
@@ -485,25 +485,26 @@ class TestPlanCollector:
 class TestPlanTables:
     def test_tables_are_lists_by_rank(self, traced_peak):
         # 10,000 disjoint triangles. The planner holds lists indexed by
-        # endpoint rank, walked once over all the components: about 159
+        # endpoint rank, walked once over all the components: about 134
         # bytes a vertex, the plan it returns included. Lists by local id
         # for one component at a time, beside a table of those ids, traced
         # about 219, and dicts of neighbour lists and of counts and a set
         # of the vertices 325.
         g = Graph.from_edges(30000, [e for i in range(0, 30000, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))])
         plan, peak = traced_peak(lambda: _plan(g, "count"))
-        assert len(plan) == 10000
+        assert sum(plan.values()) == 10000
         assert peak < 270 * g.n
 
     def test_equal_steps_are_one_tuple(self, traced_peak):
         # A 20,000-edge perfect matching: every component takes the same
-        # two steps, (0, 0, 1) and (1, 1, 0). Shared, they leave the plan
-        # at about 187 bytes a vertex; a new tuple for each step traced
-        # about 254.
+        # two steps, (0, 0, 1) and (1, 1, 0), so the plan is one key. Its
+        # peak is the walk's tables, about 117 bytes a vertex. A list of a
+        # step list per component traced about 187, and a new tuple for
+        # each step about 254.
         g = Graph.from_edges(40000, [(2 * i, 2 * i + 1) for i in range(20000)])
         plan, peak = traced_peak(_plan, g, "count")
-        assert len(plan) == 20000
-        assert peak < 220 * g.n
+        assert plan == Counter({(1, ((0, 0, 1), (1, 1, 0))): 20000})
+        assert peak < 150 * g.n
 
     def test_walk_keeps_one_key_per_vertex(self, traced_peak):
         # Prism 20000, one component of the paper's class, walked whole.
@@ -527,15 +528,56 @@ class TestPlanTables:
     def test_rank_dict_is_freed_before_the_components_are_found(self, traced_peak):
         # 10,000 triangles on shuffled ids, and the same with every id one
         # higher, so that vertex 0 is isolated and the endpoints are ranked
-        # through a dict. The rank ints held by the neighbour lists cost
-        # about 34 bytes a vertex; the dict, if it were still held beside
-        # the component tables, about 44 more.
+        # through a list by id. The rank ints held by the neighbour lists
+        # cost about 36 bytes a vertex; a rank dict, if it were still held
+        # beside the component tables, about 44 more. With a rank dict held
+        # while the neighbour lists were built, the ranked graph traced
+        # about 76 more.
         perm = list(range(30000))
         random.Random(1).shuffle(perm)
         edges = [(perm[a], perm[b]) for i in range(0, 30000, 3) for a, b in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
         _, dense = traced_peak(_plan, Graph.from_edges(30000, edges), "count")
         _, ranked = traced_peak(_plan, Graph.from_edges(30001, [(u + 1, v + 1) for u, v in edges]), "count")
         assert ranked < dense + 55 * 30000
+
+
+def count_passes(monkeypatch) -> list[tuple]:
+    """The step lists that ``_vertex_sums`` runs on from now, one per pass."""
+    calls = []
+    vertex_sums = oed.delta._vertex_sums
+
+    def counted(steps, slot, edges):
+        calls.append(steps)
+        return vertex_sums(steps, slot, edges)
+
+    monkeypatch.setattr(oed.delta, "_vertex_sums", counted)
+    return calls
+
+
+class TestDistinctStepLists:
+    """Components that walk to equal steps share one pass of ``_vertex_sums``."""
+
+    @pytest.mark.parametrize(
+        "engine,passes",
+        [(delta_by_components, 1), (vc_count_reduction, 1), (delta_frontier, 2)],
+        ids=["components", "count", "frontier"],
+    )
+    def test_one_pass_per_distinct_step_list(self, monkeypatch, engine, passes):
+        # 1,000 disjoint triangles on consecutive ids: one step list, so
+        # one pass per polynomial, where a pass per component made 1,000.
+        g = triangles(1000)
+        expected = engine(g)
+        calls = count_passes(monkeypatch)
+        assert engine(g) == expected
+        assert len(calls) == passes
+
+    def test_count_raises_one_total_to_its_power(self, monkeypatch):
+        # A 200,000-edge perfect matching: each edge has 3 covers, and one
+        # pass gives the total that the product raises to the 200,000th.
+        g = Graph.from_edges(400000, [(2 * i, 2 * i + 1) for i in range(200000)])
+        calls = count_passes(monkeypatch)
+        assert vc_count_reduction(g) == 3**200000
+        assert calls == [((0, 0, 1), (1, 1, 0))]
 
 
 def wide_groups(seed: int) -> Counter[tuple[int, ...]]:

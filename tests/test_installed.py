@@ -166,14 +166,10 @@ def test_count_refuses_prism_300000_under_235_mb(prism_300000, tmp_path):
     assert_count_refuses_under_235_mb(path, tmp_path)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the rank dict is held beside the neighbour lists: 249 MB (CHANGES.md, FOUND on _components)",
-)
 def test_count_refuses_prism_300000_with_shifted_ids_under_235_mb(tmp_path):
     # The same prism with every id one higher: vertex 0 is isolated, so
-    # the endpoints are ranked through a dict. Cold peak, as above: 249 MB.
+    # the endpoints are ranked through a list indexed by id. Cold peak, as
+    # above: 221 MB; a rank dict held beside the neighbour lists read 249.
     path = tmp_path / "shifted.txt"
     with open(path, "w") as fh:
         fh.writelines(canonical_prism_lines(300000, 1))

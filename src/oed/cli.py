@@ -14,10 +14,11 @@ The command line is read against one table, ``COMMANDS``; a line it does
 not admit exits 2 with one ``oed: error:`` line, and ``-h`` prints the
 usage the table gives. ``delta`` and ``count`` write their JSON and CSV
 directly, so neither loads a JSON, CSV or argument-parsing module.
-``delta`` writes a profile in pieces of about WRITE_BYTES of text, so a
-write holds a few hundred short counts or a few wide ones; ``gen``
-writes its edge list through ``oed.graph.write_edge_list``, which puts out
-a bounded number of lines per write.
+``delta`` writes a profile one count at a time, and stdout's text layer
+gathers the writes into 8 KiB chunks (``entry()`` keeps it doing so under
+-u), so memory holds one chunk and one count however long the profile;
+``gen`` writes its edge list through ``oed.graph.write_edge_list``,
+which puts out a bounded number of lines per write.
 """
 
 from __future__ import annotations
@@ -38,14 +39,6 @@ EXIT_CAP = 3
 EXIT_CROSSCHECK = 4
 EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a process ended by Ctrl-C
 
-# Text per stdout write, in bytes. A write holds its entries' strings, their
-# join and the encoded copy, so its size in bytes, not its entry count, is
-# what stays bounded: counts thousands of digits wide go one or a few at a
-# time, and zeros about 450 at a time. Resident memory, not traced memory,
-# sets the size: 32 KiB pieces added 0.15-0.3 MB to the peak of a cold
-# ``delta`` on many small components, against 4 KiB ones.
-WRITE_BYTES = 1 << 12
-
 
 def _emit_json(obj) -> None:
     import json
@@ -53,59 +46,32 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_batches(write, count: int, render, sep: str = "") -> None:
-    """``write(render(start, stop))`` for consecutive ranges of [0, count), ``sep`` between them.
-
-    A batch takes as many entries as fitted WRITE_BYTES of text in the one
-    before, and at most twice as many, starting from 16. Where its entries
-    widen past that, it is written in pieces, each cut at the first line
-    end after WRITE_BYTES, so no piece holds more than WRITE_BYTES of text
-    and the rest of one line.
-    """
-    start, size = 0, 16
-    while True:
-        stop = min(start + size, count)
-        text = render(start, stop)
-        done = 0  # where the unwritten text starts
-        while len(text) - done > WRITE_BYTES:
-            cut = text.find("\n", done + WRITE_BYTES) + 1 or len(text)
-            write(text[done:cut])
-            done = cut
-        write(text[done:])
-        if stop == count:
-            return
-        write(sep)
-        size = min(2 * size, max(1, WRITE_BYTES * size // len(text)))
-        start = stop
-
-
 def _write_json_profile(profile: DeltaProfile) -> None:
     """The profile as ``json.dumps(..., indent=2)`` lays it out, counts as strings."""
     write = sys.stdout.write
     write(f'{{\n  "n": {profile.n},\n')
     arrays = (("O", profile.odd_counts), ("E", profile.even_counts), ("delta", profile.delta))
-    sep = '",\n    "'
     for key, values in arrays:
         end = "\n" if key == "delta" else ",\n"
         if values is None:
             write(f'  "{key}": null{end}')
             continue
-        write(f'  "{key}": [\n    "')
-        _write_batches(write, len(values), lambda a, b, v=values: sep.join(map(str, v[a:b])), sep)
+        sep = f'  "{key}": [\n    "'
+        for value in values:
+            write(f"{sep}{value}")
+            sep = '",\n    "'
         write(f'"\n  ]{end}')
     write("}\n")
 
 
 def _write_csv_profile(profile: DeltaProfile) -> None:
     """One ``k,odd,even,delta`` row per k; counts the engine leaves out are empty."""
-    sys.stdout.write("k,odd,even,delta\n")
-    odd, even, delta = profile.odd_counts, profile.even_counts, profile.delta
-
-    def rows(a: int, b: int) -> str:
-        counts = repeat(("", "")) if odd is None else zip(odd[a:b], even[a:b])
-        return "".join(f"{k},{o},{e},{d}\n" for k, (o, e), d in zip(range(a, b), counts, delta[a:b]))
-
-    _write_batches(sys.stdout.write, len(delta), rows)
+    write = sys.stdout.write
+    write("k,odd,even,delta\n")
+    odd, even = profile.odd_counts, profile.even_counts
+    counts = repeat(("", "")) if odd is None else zip(odd, even)
+    for k, ((o, e), d) in enumerate(zip(counts, profile.delta)):
+        write(f"{k},{o},{e},{d}\n")
 
 
 def cmd_delta(args: SimpleNamespace) -> int:
@@ -378,6 +344,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     """Run main(), flush stdout and stderr, and end with no teardown or atexit."""
+    # ``delta`` writes one count at a time and leaves the batching to the
+    # text layer, which under -u or PYTHONUNBUFFERED would make each write
+    # a syscall: the profile of a million isolated vertices then took 6 s
+    # to write, against 0.5 s.
+    if hasattr(sys.stdout, "reconfigure"):  # not when fd 1 was closed at start-up
+        sys.stdout.reconfigure(write_through=False)
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

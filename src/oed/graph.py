@@ -303,7 +303,14 @@ _EDGE_LINES = 2048
 
 
 def write_edge_list(write, g: Graph) -> None:
-    """``write`` the native edge-list format: the header, then 2,048 edge lines per call."""
+    """``write`` the native edge-list format: the header, then 2,048 edge lines per call.
+
+    Unlike ``oed delta``'s writers, which leave the batching to stdout,
+    this batches itself, because ``to_edge_list`` collects the calls in a
+    list: on prism 100000, one call per line raised its traced peak from
+    7.4 to 23.9 MB, and was no faster into a file (about 72 ms either way,
+    in-process, Python 3.11 on a 2-CPU x86 box).
+    """
     edges = g.edges
     write(f"{g.n} {g.m}\n")
     for start in range(0, len(edges), _EDGE_LINES):

@@ -28,13 +28,18 @@ from itertools import combinations
 
 from .covers import (
     IE_EDGE_CAP,
+    IE_SECONDS,
+    SCAN_SECONDS,
     VERTEX_CAP,
     brute_force_vc_count,
     inclusion_exclusion_direct,
     independent_set_count,
 )
 from .delta import (
+    DP_SECONDS,
     ENGINES,
+    GRAY_SECONDS,
+    NAIVE_SECONDS,
     delta_by_components,
     delta_frontier,
     delta_graycode,
@@ -153,6 +158,28 @@ def _draw_trial_graph(rng: random.Random, n_max: int, m_max: int) -> Graph:
     raise RuntimeError(f"could not sample a graph with at most {m_max} edges")
 
 
+def _check_trial_price(n_max: int, m_max: int) -> None:
+    """Raise CapError when ``check_graph`` on the slowest admitted graph is priced over DP_SECONDS.
+
+    That graph has n_max vertices and as many edges as m_max and n_max
+    admit. The price counts its sweeps of 2^m - 1 edge subsets and its two
+    scans of 2^n vertex subsets; the DP engines price themselves when they
+    run.
+    """
+    m = min(m_max, n_max * (n_max - 1) // 2)
+    estimate = (
+        2 * (1 << n_max) * SCAN_SECONDS
+        + ((1 << m) - 1) * GRAY_SECONDS
+        + ((1 << min(m, NAIVE_CHECK_CAP)) - 1) * NAIVE_SECONDS
+        + ((1 << min(m, IE_EDGE_CAP)) - 1) * IE_SECONDS
+    )
+    if estimate > DP_SECONDS:
+        raise CapError(
+            f"a trial graph of {n_max} vertices and {m} edges is estimated at {estimate:.3g} s,"
+            f" at most {DP_SECONDS} s is supported"
+        )
+
+
 def run_verification(
     exhaustive_n: int = 0,
     n_max: int = 0,
@@ -165,7 +192,9 @@ def run_verification(
     ``exhaustive_n >= 1`` checks every labeled graph on at most that many
     vertices (0 skips the exhaustive stage entirely); ``trials`` then adds
     seeded random graphs on at most ``n_max <= VERTEX_CAP`` vertices, the
-    reach of the cover oracles.
+    reach of the cover oracles. Trials are refused with CapError before any
+    graph is checked when the slowest graph they admit is priced over
+    DP_SECONDS.
     """
     if exhaustive_n < 0 or exhaustive_n > EXHAUSTIVE_N_CAP:
         raise ValueError(
@@ -179,6 +208,8 @@ def run_verification(
         raise ValueError(f"random trials need n_max <= {VERTEX_CAP}, got {n_max}")
     if trials > 0 and m_max < 0:
         raise ValueError(f"random trials need m_max >= 0, got {m_max}")
+    if trials > 0:
+        _check_trial_price(n_max, m_max)
     start = time.perf_counter()
     failures: list[Failure] = []
     checked = 0

@@ -22,7 +22,7 @@ from reference import ENGINE_NAMES, FAMILY_NAMES, reference_parser
 
 import oed
 from oed import ENGINES, MAX_VERTICES, VERTEX_CAP, DeltaProfile, Graph, gen_family, to_edge_list
-from oed.cli import WRITE_BYTES, UsageError, _usage, _write_csv_profile, _write_json_profile, main, parse_args
+from oed.cli import UsageError, _usage, _write_csv_profile, _write_json_profile, main, parse_args
 from oed.graph import MAX_GENERATED_EDGES, MAX_TOKEN_CHARS
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
@@ -249,15 +249,16 @@ class TestProfileWriters:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_pieces_are_bounded_by_bytes(self, tmp_path, monkeypatch, fmt):
-        # A 3,000-edge matching's counts run to 902 digits. A piece holds at
-        # most WRITE_BYTES of text and the one entry that took it past them.
+        # A 3,000-edge matching's counts run to 902 digits. The writers hand
+        # stdout one count or row at a time, so no piece is wider than the
+        # widest line; stdout's own buffer gathers them.
         path = tmp_path / "matching3000.txt"
         path.write_text(to_edge_list(Graph(6000, tuple((2 * i, 2 * i + 1) for i in range(3000)))))
         expected = profile_text(matching_profile(3000, False), fmt)
         pieces = collect_writes(monkeypatch)
         assert main(["delta", "--input", str(path), "--engine", "components", "--format", fmt]) == 0
         widest = max(map(len, expected.splitlines(keepends=True)))
-        assert max(len(piece.encode()) for piece in pieces) <= WRITE_BYTES + widest
+        assert max(len(piece.encode()) for piece in pieces) <= widest
         assert "".join(pieces) == expected
 
 
@@ -344,6 +345,24 @@ class TestVerify:
         assert proc.returncode == 2, proc.stderr[-300:]
         assert float(proc.stdout.splitlines()[-1]) < 1.0
         assert proc.stderr == f"oed: error: random trials need n_max <= {VERTEX_CAP}, got 100000\n"
+
+    def test_trials_over_the_price_exit_3_at_once(self):
+        # Such a trial may scan 2^28 vertex subsets twice and sweep 2^60
+        # edge subsets: refused before any graph is drawn, whatever the seed.
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        for seed in range(1, 11):
+            args = ["verify", "--trials", "1", "--n-max", "28", "--m-max", "60", "--seed", str(seed)]
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "oed", *args], capture_output=True, text=True, env=env, timeout=30
+            )
+            elapsed = time.perf_counter() - start
+            assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+            assert proc.stderr == (
+                "oed: error: a trial graph of 28 vertices and 60 edges is estimated at 2.54e+11 s,"
+                " at most 60 s is supported\n"
+            )
+            assert elapsed < 1.0
 
 
 class TestGen:
@@ -860,9 +879,10 @@ def assert_exit_cases(command, k3_file, tmp_path):
     assert (refused.returncode, refused.stdout) == (3, "")
     assert refused.stderr.startswith("oed: error: census DP estimated at ")
     if os.path.exists("/dev/full"):
-        with open("/dev/full", "w") as full:
-            proc = run("count", "--input", k3_file, stdout=full)
-        assert (proc.returncode, proc.stderr) == (2, "oed: error: [Errno 28] No space left on device\n")
+        for name in ("count", "delta"):
+            with open("/dev/full", "w") as full:
+                proc = run(name, "--input", k3_file, stdout=full)
+            assert (proc.returncode, proc.stderr) == (2, "oed: error: [Errno 28] No space left on device\n"), name
 
 
 class TestEntryPoints:
@@ -883,6 +903,14 @@ class TestEntryPoints:
 
     def test_module_exit_codes(self, k3_file, tmp_path):
         assert_exit_cases([sys.executable, "-m", "oed"], k3_file, tmp_path)
+
+    def test_entry_keeps_stdout_batching_under_unbuffered_mode(self):
+        """Under -u, main() still sees a stdout that gathers writes, so a count is not a syscall."""
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        script = "import sys, oed.cli as cli; cli.main = lambda: print(sys.stdout.write_through) or 0; cli.entry()"
+        for flags in ([], ["-u"]):
+            proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", ""), flags
 
     def test_closed_stdout_at_start_spares_gen_output(self, tmp_path):
         """With fd 1 closed, a command that writes stdout exits 2; gen --output writes it all."""

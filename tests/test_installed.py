@@ -3,7 +3,7 @@
 Each test runs ``python -m oed`` cold on the source tree, as a user runs
 ``oed``, and checks its output against a closed form computed here, with
 no code shared with the engines, or its peak memory against a bound.
-CI runs these checks through tier-1 only: after ``pip install -e .``,
+CI runs these checks through tier-1 only: after ``pip install -e ".[test]"``,
 ``oed`` and ``python -m oed`` run the same ``oed.cli:entry`` over the
 same source, and the console script's own wiring is checked in
 ``tests/test_cli.py`` (``test_console_script`` and
@@ -213,6 +213,23 @@ def test_components_engine_writes_the_closed_form_in_json_and_csv(tmp_path, grap
     rows = oed_stdout(*args, "--format", "csv").splitlines()
     assert rows[0] == "k,odd,even,delta"
     assert [int(r.split(",")[3]) for r in rows[1:]] == delta, "the CSV's delta column is not the JSON's"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unbuffered_stdout_gets_the_same_bytes(tmp_path, fmt):
+    # The profile writers hand stdout one count at a time and leave the
+    # batching to its text layer, which entry() keeps batching under -u.
+    text, _ = matching_3000()
+    path = tmp_path / "matching3000.txt"
+    path.write_text(text)
+    env = {key: value for key, value in source_env().items() if key != "PYTHONUNBUFFERED"}
+    args = ("-m", "oed", "delta", "--input", str(path), "--engine", "components", "--format", fmt)
+    buffered, unbuffered = (
+        subprocess.run([sys.executable, *flags, *args], env=env, capture_output=True, check=True, timeout=20).stdout
+        for flags in ([], ["-u"])
+    )
+    assert len(buffered) > 1 << 20
+    assert unbuffered == buffered
 
 
 def test_frontier_engine_matches_the_closed_forms_on_300_triangles(tmp_path):

@@ -8,6 +8,7 @@ from oed import (
     ENGINES,
     VERTEX_CAP,
     BenchRecord,
+    CapError,
     DeltaPolynomial,
     DeltaProfile,
     EngineDisagreement,
@@ -158,6 +159,16 @@ class TestRunVerification:
         with pytest.raises(ValueError, match="m_max"):
             run_verification(trials=1, n_max=2, m_max=-1)
         assert run_verification(n_max=2, m_max=-1).passing
+
+    def test_trials_priced_over_dp_seconds_are_refused_before_any_check(self, monkeypatch):
+        # The slowest graph on 8 vertices is K8: 28 edges, a 59 s gray sweep
+        # plus the 20-edge oracles. Refused before the exhaustive stage too.
+        monkeypatch.setattr(verify, "check_graph", lambda g: pytest.fail("a graph was checked"))
+        for m_max in (28, 10**9):
+            with pytest.raises(CapError, match=r"^a trial graph of 8 vertices and 28 edges is estimated at 61\.8 s"):
+                run_verification(exhaustive_n=2, trials=1, n_max=8, m_max=m_max)
+        with pytest.raises(CapError, match=r"^a trial graph of 25 vertices and 0 edges is estimated at 67\.1 s"):
+            run_verification(trials=1, n_max=25, m_max=0)
 
     def test_report_json_shape(self):
         d = run_verification(exhaustive_n=2, trials=2, n_max=5, m_max=6, seed=9).to_json_dict()

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 from .covers import brute_force_vc_count, independent_set_count
 from .delta import ENGINES, DeltaProfile, vc_count_reduction
-from .errors import CapError, EngineDisagreement, ParseError
+from .errors import CapError, EngineDisagreement
 from .graph import FAMILY_NAMES, gen_family, load_graph, write_edge_list
 
 EXIT_OK = 0
@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except EngineDisagreement as exc:
         print(f"oed: error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"oed: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except KeyboardInterrupt:

@@ -11,6 +11,12 @@ The oracles are
   nonempty edge subset F of (-1)^(|F|+1) 2^(n - |V(F)|), the non-cover
   count, so covers = 2^n - sum_k delta_k 2^(n-k) term by term.
 
+Each 2^n scan admits at most VERTEX_CAP vertices, and is refused before
+it starts when priced over DP_SECONDS at SCAN_SECONDS a subset, which is
+from 26 vertices on. The direct sum admits at most IE_EDGE_CAP edges; the
+cross-check in ``oed.verify`` gives the naive census engine the same
+reach, since both cost about IE_SECONDS a subset.
+
 The cover count itself, ``vc_count_reduction``, is computed in
 ``oed.delta`` from the census DP. All arithmetic is integer end to end.
 The oracles are deliberately plain scans, structurally unrelated to the
@@ -19,7 +25,7 @@ census pipeline they validate, and this module imports nothing from it.
 
 from __future__ import annotations
 
-from .errors import CapError
+from .errors import DP_SECONDS, CapError
 from .graph import Graph
 
 VERTEX_CAP = 28
@@ -33,14 +39,21 @@ SCAN_SECONDS = 1.0e-6
 IE_SECONDS = 1.3e-6
 
 
-def _check_vertex_cap(g: Graph, what: str) -> None:
+def _check_scan(g: Graph, what: str) -> None:
+    """Refuse a scan of 2^n vertex subsets past VERTEX_CAP, or priced at over DP_SECONDS."""
     if g.n > VERTEX_CAP:
         raise CapError(f"graph has {g.n} vertices, {what} supports at most {VERTEX_CAP}")
+    estimate = (1 << g.n) * SCAN_SECONDS
+    if estimate > DP_SECONDS:
+        raise CapError(
+            f"{what} of 2^{g.n} vertex subsets estimated at {estimate:.1f} s,"
+            f" at most {DP_SECONDS} s is supported"
+        )
 
 
 def brute_force_vc_count(g: Graph) -> int:
     """Count vertex covers by scanning all 2^n subsets."""
-    _check_vertex_cap(g, "the brute-force cover scan")
+    _check_scan(g, "the brute-force cover scan")
     emasks = [(1 << u) | (1 << v) for u, v in g.edges]
     count = 0
     for s in range(1 << g.n):
@@ -54,7 +67,7 @@ def brute_force_vc_count(g: Graph) -> int:
 
 def independent_set_count(g: Graph) -> int:
     """Count independent sets by scanning all 2^n subsets."""
-    _check_vertex_cap(g, "the independent-set scan")
+    _check_scan(g, "the independent-set scan")
     emasks = [(1 << u) | (1 << v) for u, v in g.edges]
     count = 0
     for s in range(1 << g.n):

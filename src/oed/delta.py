@@ -76,14 +76,13 @@ from heapq import heappop, heappush
 from itertools import chain, repeat, zip_longest
 from operator import add, mul, sub
 
-from .errors import CapError, EngineDisagreement
+from .errors import DP_SECONDS, CapError, EngineDisagreement
 from .graph import Graph
 
 EDGE_CAP = 62
 
-# The frontier DP's bounds: its estimated run time in seconds and the
-# estimated peak size of its state table in bytes (see ``_price``).
-DP_SECONDS = 60
+# The frontier DP's bound on the estimated peak size of its state table in
+# bytes (see ``_price``); its run time is bounded by DP_SECONDS.
 DP_BYTES = 512 << 20
 
 # The enumeration engines' price in seconds per subset, refused over
@@ -114,7 +113,7 @@ class DeltaProfile(namedtuple("DeltaProfile", "n odd_counts even_counts delta"))
             raise ValueError("delta must vanish for k < 2 (an edge spans two vertices)")
         if (self.odd_counts is None) != (self.even_counts is None):
             raise ValueError("odd_counts and even_counts must be both present or both absent")
-        if self.odd_counts is not None and self.even_counts is not None:
+        if self.odd_counts is not None:
             if len(self.odd_counts) != self.n + 1 or len(self.even_counts) != self.n + 1:
                 raise ValueError("count arrays must have length n + 1")
             if any(x < 0 for x in self.odd_counts) or any(x < 0 for x in self.even_counts):
@@ -151,8 +150,6 @@ class DeltaPolynomial(namedtuple("DeltaPolynomial", "coeffs")):
 def w_polynomial(profile: DeltaProfile) -> DeltaPolynomial:
     """Companion W(x) = 1 - D(x); coefficient k counts signed subsets, empty set included."""
     coeffs = [-d for d in profile.delta]
-    if not coeffs:
-        coeffs = [0]
     coeffs[0] += 1
     return DeltaPolynomial(tuple(coeffs))
 

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the run-time bound.
 
 The CLI maps these onto exit codes: input problems exit 2, resource caps
 exit 3, internal cross-check failures exit 4.
 """
+
+# The longest estimated run, in seconds, of any priced engine or scan; work
+# priced over it is refused with CapError before it starts.
+DP_SECONDS = 60
 
 
 class ParseError(ValueError):

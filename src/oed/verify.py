@@ -7,9 +7,12 @@ count comes out identical via the census reduction (2^(isolated) *
 prod_c sum_t B_t, each component's independent sets, with no polynomial
 product), the census formula on the ``gray`` profile, the brute-force
 scan, the independent-set scan, and the direct alternating sum. Each
-engine runs once per graph. Graphs come from exhaustive enumeration of
-all labeled graphs up to a small n and from seeded random sampling, so a
-report is fully reproducible from (seed, parameters).
+engine runs once per graph. The naive engine and the direct sum, the two
+slowest per subset, join the check up to the same IE_EDGE_CAP edges; the
+two vertex scans price themselves. Graphs come from exhaustive
+enumeration of all labeled graphs up to a small n, then from seeded
+random sampling, checked as one stream, so a report is fully
+reproducible from (seed, parameters).
 
 ``run_bench`` times engines on one input and refuses to report numbers
 unless every engine produced the identical delta array. Each engine is
@@ -24,7 +27,7 @@ import random
 import sys
 import time
 from collections import namedtuple
-from itertools import combinations
+from itertools import chain, combinations
 
 from .covers import (
     IE_EDGE_CAP,
@@ -36,22 +39,16 @@ from .covers import (
     independent_set_count,
 )
 from .delta import (
-    DP_SECONDS,
     ENGINES,
     GRAY_SECONDS,
-    NAIVE_SECONDS,
     delta_by_components,
     delta_frontier,
     delta_graycode,
     delta_naive,
     vc_count_reduction,
 )
-from .errors import CapError, EngineDisagreement
+from .errors import DP_SECONDS, CapError, EngineDisagreement
 from .graph import Graph, random_graph, to_edge_list
-
-# The naive engine joins the per-graph cross-check only below this edge
-# count; above it the check would dominate the run for no extra coverage.
-NAIVE_CHECK_CAP = 20
 
 EXHAUSTIVE_N_CAP = 5
 
@@ -88,13 +85,12 @@ class VerificationReport(namedtuple("VerificationReport", "trials failures seed 
 def check_graph(g: Graph) -> list[Failure]:
     """Run every applicable identity on one graph; return the violations."""
     failures: list[Failure] = []
-    text = to_edge_list(g)
 
     def expect(left_name: str, left, right_name: str, right) -> None:
         if left != right:
             failures.append(
                 Failure(
-                    graph_text=text,
+                    graph_text=to_edge_list(g),
                     methods=(left_name, right_name),
                     expected=str(right),
                     got=str(left),
@@ -105,7 +101,7 @@ def check_graph(g: Graph) -> list[Failure]:
     gray = delta_graycode(g)
     comp = delta_by_components(g)
 
-    if m <= NAIVE_CHECK_CAP:
+    if m <= IE_EDGE_CAP:
         naive = delta_naive(g)
         expect("delta_naive", naive.delta, "delta_graycode", gray.delta)
         expect(
@@ -162,16 +158,16 @@ def _check_trial_price(n_max: int, m_max: int) -> None:
     """Raise CapError when ``check_graph`` on the slowest admitted graph is priced over DP_SECONDS.
 
     That graph has n_max vertices and as many edges as m_max and n_max
-    admit. The price counts its sweeps of 2^m - 1 edge subsets and its two
-    scans of 2^n vertex subsets; the DP engines price themselves when they
-    run.
+    admit. The price counts its two scans of 2^n vertex subsets, its
+    ``gray`` sweep of 2^m - 1 edge subsets, and, up to IE_EDGE_CAP edges,
+    the naive sweep and the direct sum at IE_SECONDS a subset each; the DP
+    engines price themselves when they run.
     """
     m = min(m_max, n_max * (n_max - 1) // 2)
     estimate = (
         2 * (1 << n_max) * SCAN_SECONDS
         + ((1 << m) - 1) * GRAY_SECONDS
-        + ((1 << min(m, NAIVE_CHECK_CAP)) - 1) * NAIVE_SECONDS
-        + ((1 << min(m, IE_EDGE_CAP)) - 1) * IE_SECONDS
+        + 2 * ((1 << min(m, IE_EDGE_CAP)) - 1) * IE_SECONDS
     )
     if estimate > DP_SECONDS:
         raise CapError(
@@ -202,27 +198,23 @@ def run_verification(
         )
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    if trials > 0 and n_max < 2:
-        raise ValueError(f"random trials need n_max >= 2, got {n_max}")
-    if trials > 0 and n_max > VERTEX_CAP:
-        raise ValueError(f"random trials need n_max <= {VERTEX_CAP}, got {n_max}")
-    if trials > 0 and m_max < 0:
-        raise ValueError(f"random trials need m_max >= 0, got {m_max}")
     if trials > 0:
+        if n_max < 2:
+            raise ValueError(f"random trials need n_max >= 2, got {n_max}")
+        if n_max > VERTEX_CAP:
+            raise ValueError(f"random trials need n_max <= {VERTEX_CAP}, got {n_max}")
+        if m_max < 0:
+            raise ValueError(f"random trials need m_max >= 0, got {m_max}")
         _check_trial_price(n_max, m_max)
     start = time.perf_counter()
+    sizes = range(exhaustive_n + 1) if exhaustive_n > 0 else ()
+    exhaustive = chain.from_iterable(map(all_labeled_graphs, sizes))
+    rng = random.Random(seed)
+    drawn = (_draw_trial_graph(rng, n_max, m_max) for _ in range(trials))
     failures: list[Failure] = []
     checked = 0
-    if exhaustive_n > 0:
-        for n in range(exhaustive_n + 1):
-            for g in all_labeled_graphs(n):
-                failures.extend(check_graph(g))
-                checked += 1
-    rng = random.Random(seed)
-    for _ in range(trials):
-        g = _draw_trial_graph(rng, n_max, m_max)
+    for checked, g in enumerate(chain(exhaustive, drawn), 1):
         failures.extend(check_graph(g))
-        checked += 1
     wall = time.perf_counter() - start
     return VerificationReport(trials=checked, failures=failures, seed=seed, wall_time=wall)
 

@@ -77,6 +77,9 @@ def run_capped(args, limit):
 
     A missing bound then fails with MemoryError instead of exhausting the
     host. The child's last stdout line is main's own run time in seconds.
+    The child drops the caller's PYTHON* settings but PYTHONPATH, so that
+    the timing does not depend on them: under PYTHONUNBUFFERED, each
+    write of main's would be a syscall.
     """
     script = (
         "import resource, sys, time\n"
@@ -87,7 +90,8 @@ def run_capped(args, limit):
         "print(time.perf_counter() - start)\n"
         "sys.exit(code)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(oed.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
@@ -478,6 +482,30 @@ class TestExitCodes:
             3,
             "",
             f"oed: error: sweep of 2^36 - 1 edge subsets estimated at {seconds} s, at most 60 s is supported\n",
+        )
+
+    @pytest.mark.parametrize(
+        "method,scan", [("brute", "the brute-force cover scan"), ("independent", "the independent-set scan")]
+    )
+    def test_scan_price_exit_3(self, tmp_path, method, scan):
+        # K26 is inside VERTEX_CAP, but either cover scan prices its 2^26
+        # vertex subsets and refuses them before it starts.
+        path = tmp_path / "k26.txt"
+        assert main(["gen", "complete", "26", "--output", str(path)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "oed", "count", "--method", method, "--input", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3,
+            "",
+            f"oed: error: {scan} of 2^26 vertex subsets estimated at 67.1 s, at most 60 s is supported\n",
         )
 
     def test_count_prices_no_product(self, tmp_path, capsys):

@@ -125,6 +125,20 @@ class TestOracleRelations:
         with pytest.raises(CapError, match="at most 28"):
             independent_set_count(g)
 
+    @pytest.mark.parametrize(
+        "scan,what",
+        [(brute_force_vc_count, "the brute-force cover scan"), (independent_set_count, "the independent-set scan")],
+    )
+    def test_scan_price(self, scan, what):
+        # 26 vertices are inside VERTEX_CAP, but 2^26 subsets are priced
+        # over DP_SECONDS and refused before the scan starts.
+        g = Graph.from_edges(26, [])
+        start = time.perf_counter()
+        with pytest.raises(CapError) as info:
+            scan(g)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == f"{what} of 2^26 vertex subsets estimated at 67.1 s, at most 60 s is supported"
+
 
 class TestReducedCount:
     def test_triangle(self, k3):

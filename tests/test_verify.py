@@ -23,6 +23,8 @@ from oed import (
     run_verification,
 )
 from oed import verify
+from oed.covers import IE_SECONDS
+from oed.delta import NAIVE_SECONDS
 from oed.graph import Graph, disjoint_union
 
 # Each record type with a field of it, built twice from equal fields.
@@ -99,6 +101,11 @@ class TestCheckGraph:
         assert check_graph(cube) == []
         assert sorted(calls) == names
 
+    def test_clean_graph_builds_no_edge_list(self, cube, monkeypatch):
+        # A graph's edge list is only a failure's record.
+        monkeypatch.setattr(verify, "to_edge_list", lambda g: pytest.fail("an edge list was built"))
+        assert check_graph(cube) == []
+
     def test_wrong_count_is_caught(self, cube, monkeypatch):
         monkeypatch.setattr(verify, "vc_count_reduction", lambda g: 36)
         methods = [f.methods for f in check_graph(cube)]
@@ -169,6 +176,10 @@ class TestRunVerification:
                 run_verification(exhaustive_n=2, trials=1, n_max=8, m_max=m_max)
         with pytest.raises(CapError, match=r"^a trial graph of 25 vertices and 0 edges is estimated at 67\.1 s"):
             run_verification(trials=1, n_max=25, m_max=0)
+
+    def test_naive_sweep_is_priced_as_the_direct_sum(self):
+        # The trial price counts both at IE_SECONDS, up to IE_EDGE_CAP edges.
+        assert NAIVE_SECONDS == IE_SECONDS
 
     def test_report_json_shape(self):
         d = run_verification(exhaustive_n=2, trials=2, n_max=5, m_max=6, seed=9).to_json_dict()

@@ -25,7 +25,7 @@ census pipeline they validate, and this module imports nothing from it.
 
 from __future__ import annotations
 
-from .errors import DP_SECONDS, CapError
+from .errors import CapError, check_price
 from .graph import Graph
 
 VERTEX_CAP = 28
@@ -44,11 +44,7 @@ def _check_scan(g: Graph, what: str) -> None:
     if g.n > VERTEX_CAP:
         raise CapError(f"graph has {g.n} vertices, {what} supports at most {VERTEX_CAP}")
     estimate = (1 << g.n) * SCAN_SECONDS
-    if estimate > DP_SECONDS:
-        raise CapError(
-            f"{what} of 2^{g.n} vertex subsets estimated at {estimate:.1f} s,"
-            f" at most {DP_SECONDS} s is supported"
-        )
+    check_price(f"{what} of 2^{g.n} vertex subsets estimated at {estimate:.1f} s", estimate)
 
 
 def brute_force_vc_count(g: Graph) -> int:

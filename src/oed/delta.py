@@ -76,7 +76,7 @@ from heapq import heappop, heappush
 from itertools import chain, repeat, zip_longest
 from operator import add, mul, sub
 
-from .errors import DP_SECONDS, CapError, EngineDisagreement
+from .errors import DP_SECONDS, CapError, EngineDisagreement, check_price
 from .graph import Graph
 
 EDGE_CAP = 62
@@ -250,11 +250,7 @@ def _check_sweep(m: int, per_subset: float) -> None:
     if m > EDGE_CAP:
         raise CapError(f"graph has {m} edges, enumeration engines support at most {EDGE_CAP}")
     estimate = ((1 << m) - 1) * per_subset
-    if estimate > DP_SECONDS:
-        raise CapError(
-            f"sweep of 2^{m} - 1 edge subsets estimated at {estimate:.1f} s,"
-            f" at most {DP_SECONDS} s is supported"
-        )
+    check_price(f"sweep of 2^{m} - 1 edge subsets estimated at {estimate:.1f} s", estimate)
 
 
 # ---------------------------------------------------------------------------

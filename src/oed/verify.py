@@ -47,7 +47,7 @@ from .delta import (
     delta_naive,
     vc_count_reduction,
 )
-from .errors import DP_SECONDS, CapError, EngineDisagreement
+from .errors import CapError, EngineDisagreement, check_price
 from .graph import Graph, random_graph, to_edge_list
 
 EXHAUSTIVE_N_CAP = 5
@@ -123,15 +123,17 @@ def check_graph(g: Graph) -> list[Failure]:
     reduction = vc_count_reduction(g)
     weighted = sum(gray.delta[k] << (n - k) for k in range(2, n + 1))
     expect("reduction", reduction, "census_formula[gray]", (1 << n) - weighted)
-    if n <= VERTEX_CAP:
+    try:
         brute = brute_force_vc_count(g)
-        independent = independent_set_count(g)
-        expect("reduction", reduction, "brute_force", brute)
-        expect("brute_force", brute, "independent_set", independent)
-        if 1 <= m <= IE_EDGE_CAP:
-            direct = inclusion_exclusion_direct(g)
-            expect("inclusion_exclusion", direct, "delta_weighted_sum", weighted)
-            expect("inclusion_exclusion", direct, "non_cover", (1 << n) - brute)
+    except CapError:  # past the scans' reach, which oed.covers alone decides
+        return failures
+    independent = independent_set_count(g)
+    expect("reduction", reduction, "brute_force", brute)
+    expect("brute_force", brute, "independent_set", independent)
+    if 1 <= m <= IE_EDGE_CAP:
+        direct = inclusion_exclusion_direct(g)
+        expect("inclusion_exclusion", direct, "delta_weighted_sum", weighted)
+        expect("inclusion_exclusion", direct, "non_cover", (1 << n) - brute)
     return failures
 
 
@@ -169,11 +171,9 @@ def _check_trial_price(n_max: int, m_max: int) -> None:
         + ((1 << m) - 1) * GRAY_SECONDS
         + 2 * ((1 << min(m, IE_EDGE_CAP)) - 1) * IE_SECONDS
     )
-    if estimate > DP_SECONDS:
-        raise CapError(
-            f"a trial graph of {n_max} vertices and {m} edges is estimated at {estimate:.3g} s,"
-            f" at most {DP_SECONDS} s is supported"
-        )
+    check_price(
+        f"a trial graph of {n_max} vertices and {m} edges is estimated at {estimate:.3g} s", estimate
+    )
 
 
 def run_verification(

@@ -1,8 +1,24 @@
+import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import oed
 from oed import Graph, gen_family
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child Python run on the package under test.
+
+    PYTHONPATH is the source tree that ``oed`` was imported from, and every
+    other inherited PYTHON* setting is dropped, so that a child's output
+    and time do not depend on the caller's: under PYTHONUNBUFFERED, say,
+    each write would be a syscall. A test that needs one sets it itself.
+    """
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(oed.__file__).resolve().parents[1])
+    return env
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import child_env
 from reference import ENGINE_NAMES, FAMILY_NAMES, reference_parser
 
 import oed
@@ -77,9 +78,6 @@ def run_capped(args, limit):
 
     A missing bound then fails with MemoryError instead of exhausting the
     host. The child's last stdout line is main's own run time in seconds.
-    The child drops the caller's PYTHON* settings but PYTHONPATH, so that
-    the timing does not depend on them: under PYTHONUNBUFFERED, each
-    write of main's would be a syscall.
     """
     script = (
         "import resource, sys, time\n"
@@ -90,10 +88,8 @@ def run_capped(args, limit):
         "print(time.perf_counter() - start)\n"
         "sys.exit(code)\n"
     )
-    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(Path(oed.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
     )
 
 
@@ -353,7 +349,7 @@ class TestVerify:
     def test_trials_over_the_price_exit_3_at_once(self):
         # Such a trial may scan 2^28 vertex subsets twice and sweep 2^60
         # edge subsets: refused before any graph is drawn, whatever the seed.
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        env = child_env()
         for seed in range(1, 11):
             args = ["verify", "--trials", "1", "--n-max", "28", "--m-max", "60", "--seed", str(seed)]
             start = time.perf_counter()
@@ -468,7 +464,7 @@ class TestExitCodes:
         # prices its 2^36 - 1 subsets and refuses them before it sweeps.
         path = tmp_path / "prism12.txt"
         assert main(["gen", "prism", "12", "--output", str(path)]) == 0
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        env = child_env()
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "oed", "delta", "--engine", engine, "--input", str(path)],
@@ -492,7 +488,7 @@ class TestExitCodes:
         # vertex subsets and refuses them before it starts.
         path = tmp_path / "k26.txt"
         assert main(["gen", "complete", "26", "--output", str(path)]) == 0
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        env = child_env()
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "oed", "count", "--method", method, "--input", str(path)],
@@ -825,7 +821,7 @@ def modules_after_default_commands(k3_file) -> list[str]:
         f"assert main(['count', '--input', {k3_file!r}]) == 0\n"
         "print('LOADED', ' '.join(sys.modules))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+    env = child_env()
     # -S: no site-packages .pth file may import modules before oed runs.
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
@@ -882,7 +878,7 @@ def assert_exit_cases(command, k3_file, tmp_path):
     stderr is empty or exactly one ``oed: error:`` line: the process ends
     right after its last flush, with no traceback and nothing ignored.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+    env = child_env()
     complete40 = tmp_path / "complete40.txt"
     complete40.write_text(to_edge_list(gen_family("complete", 40)))
 
@@ -934,7 +930,7 @@ class TestEntryPoints:
 
     def test_entry_keeps_stdout_batching_under_unbuffered_mode(self):
         """Under -u, main() still sees a stdout that gathers writes, so a count is not a syscall."""
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        env = child_env()
         script = "import sys, oed.cli as cli; cli.main = lambda: print(sys.stdout.write_through) or 0; cli.entry()"
         for flags in ([], ["-u"]):
             proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env)
@@ -942,7 +938,7 @@ class TestEntryPoints:
 
     def test_closed_stdout_at_start_spares_gen_output(self, tmp_path):
         """With fd 1 closed, a command that writes stdout exits 2; gen --output writes it all."""
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        env = child_env()
         path = tmp_path / "prism200.txt"
         for args in (["-h"], ["gen", "prism", "4"], ["gen", "prism", "200", "--output", str(path)]):
             proc = subprocess.run(
@@ -964,7 +960,7 @@ class TestEntryPoints:
         args = ["delta", "--input", str(path), "--format", fmt]
         assert main(args) == 0
         expected = capsys.readouterr().out.encode()
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        env = child_env()
         command = [sys.executable, "-m", "oed", *args]
         piped = subprocess.run(command, capture_output=True, env=env)
         assert (piped.returncode, piped.stderr) == (0, b"")
@@ -1014,7 +1010,7 @@ class TestEntryPoints:
         """A reader that stops reading is not an input error, in either format."""
         path = tmp_path / "prism200.txt"
         path.write_text(to_edge_list(gen_family("prism", 200)))
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        env = child_env()
         heads = {"csv": [b"k,odd,even,delta\n", b"0,0,0,0\n"], "json": [b"{\n", b'  "n": 400,\n']}
         for fmt, head in heads.items():
             proc = subprocess.Popen(
@@ -1040,7 +1036,7 @@ class TestEntryPoints:
             "sys.stderr.flush()\n"
             "os._exit(0)  # the caller's own final flush would meet the closed pipe\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        env = child_env()
         read, write = os.pipe()
         os.close(read)
         try:
@@ -1055,7 +1051,7 @@ class TestEntryPoints:
         """Ctrl-C during a long sweep ends in one stderr line, not a traceback."""
         path = tmp_path / "prism8.txt"
         path.write_text(to_edge_list(gen_family("prism", 8)))  # 24 edges: a 2^24 sweep
-        env = {**os.environ, "PYTHONPATH": str(Path(oed.__file__).resolve().parents[1])}
+        env = child_env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "oed", "delta", "--engine", "naive", "--input", str(path)],
             stdout=subprocess.PIPE,

@@ -12,15 +12,13 @@ same source, and the console script's own wiring is checked in
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from math import comb
 from pathlib import Path
 
 import pytest
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import child_env
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's ru_maxrss, in KiB")
 
@@ -35,16 +33,11 @@ PEAK = (
 )
 
 
-def source_env() -> dict[str, str]:
-    """The environment with the source tree first on PYTHONPATH."""
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-
-
 def oed_peak(err: Path, *args: str) -> tuple[int, int]:
     """(exit code, peak MB) of ``python -m oed args`` on the source tree, its stderr in ``err``."""
     out = subprocess.run(
         [sys.executable, "-c", PEAK, str(err), sys.executable, "-m", "oed", *args],
-        env=source_env(),
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -57,7 +50,7 @@ def oed_stdout(*args: str, timeout: int = 20) -> str:
     """The stdout of ``python -m oed args`` on the source tree, which must exit 0 within ``timeout`` s."""
     return subprocess.run(
         [sys.executable, "-m", "oed", *args],
-        env=source_env(),
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -222,7 +215,7 @@ def test_unbuffered_stdout_gets_the_same_bytes(tmp_path, fmt):
     text, _ = matching_3000()
     path = tmp_path / "matching3000.txt"
     path.write_text(text)
-    env = {key: value for key, value in source_env().items() if key != "PYTHONUNBUFFERED"}
+    env = child_env()
     args = ("-m", "oed", "delta", "--input", str(path), "--engine", "components", "--format", fmt)
     buffered, unbuffered = (
         subprocess.run([sys.executable, *flags, *args], env=env, capture_output=True, check=True, timeout=20).stdout

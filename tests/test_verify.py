@@ -23,7 +23,7 @@ from oed import (
     run_verification,
 )
 from oed import verify
-from oed.covers import IE_SECONDS
+from oed.covers import IE_SECONDS, _check_scan
 from oed.delta import NAIVE_SECONDS
 from oed.graph import Graph, disjoint_union
 
@@ -116,6 +116,32 @@ class TestCheckGraph:
 
         assert check_graph(Graph.from_edges(0, [])) == []
         assert check_graph(Graph.from_edges(1, [])) == []
+
+    @pytest.mark.parametrize("n", [26, VERTEX_CAP])
+    def test_graph_past_the_scans_price_is_checked_without_them(self, n):
+        # The scans refuse 2^n subsets from 26 vertices on; the census
+        # checks still run, and the refusal is no failure.
+        assert check_graph(Graph.from_edges(n, [(0, 1)])) == []
+
+    def test_graph_within_the_scans_price_runs_both(self, monkeypatch):
+        # 2^25 subsets are priced under DP_SECONDS, so both scans run. Each
+        # is stood in for by the closed form: one edge on 25 vertices has
+        # 3 * 2^23 covers.
+        g = Graph.from_edges(25, [(0, 1)])
+        _check_scan(g, "either scan")  # admitted: raises nothing
+        calls = []
+
+        def stand_in(name):
+            def scan(g):
+                calls.append(name)
+                return 3 << (g.n - 2)
+
+            return scan
+
+        for name in ("brute_force_vc_count", "independent_set_count"):
+            monkeypatch.setattr(verify, name, stand_in(name))
+        assert check_graph(g) == []
+        assert calls == ["brute_force_vc_count", "independent_set_count"]
 
 
 class TestAllLabeledGraphs:

@@ -82,7 +82,7 @@ from .graph import Graph
 EDGE_CAP = 62
 
 # The frontier DP's bound on the estimated peak size of its state table in
-# bytes (see ``_price``); its run time is bounded by DP_SECONDS.
+# bytes (see ``_cost``); its run time is bounded by DP_SECONDS.
 DP_BYTES = 512 << 20
 
 # The enumeration engines' price in seconds per subset, refused over
@@ -404,6 +404,7 @@ def _power(repeated: list[tuple[DeltaPolynomial, int]]) -> DeltaPolynomial:
 
 Step = tuple[int, int, int]  # (inner, drop, vbit): see ``_steps``
 Plan = Counter[tuple[int, tuple[Step, ...]]]  # (m_c, steps) -> the components that take them
+Work = tuple[int, int, int, int, int, int]  # (reads, coeffs, table, i, slot, terms): see ``_price``
 
 
 def _plan(g: Graph, pass_: str) -> Plan:
@@ -428,7 +429,7 @@ def _plan(g: Graph, pass_: str) -> Plan:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return Counter((m, tuple(steps)) for m, steps in _price(_steps(_neighbours(g)), pass_))
+        return Counter((m, tuple(steps)) for m, steps, _ in _price(_steps(_neighbours(g)), pass_))
     finally:
         if enabled:
             gc.enable()
@@ -522,63 +523,84 @@ def _steps(near: list[list[int]]) -> Iterator[Step]:
                 v = heappop(keys) % s
 
 
-def _price(steps: Iterator[Step], pass_: str) -> Iterator[tuple[int, list[Step]]]:
-    """(m_c, steps) for each component of the walk ``steps``, each step priced as it comes.
+def _price(steps: Iterator[Step], pass_: str) -> Iterator[tuple[int, list[Step], Work]]:
+    """(m_c, steps, work) for each component of the walk ``steps``, each step priced as it comes.
 
     A component ends where the bits held by the frontier return to 0.
-    Each component is priced as if its pass ran on its own, so where
-    ``_plan`` finds components with equal steps, which share one pass, the
-    price is an upper bound.
-    Model, per pass of ``_vertex_sums``: a step reading the 2^w states of
-    a w-vertex frontier costs 2^w * (0.6 us + 8 ns * words) and
-    2^w * (16 * words + 150) bytes, for two ints per state of that many
-    64-bit words. ``_vertex_sums`` holds one int per state, so the byte
-    term reads about twice the measured peak where the state table
-    dominates, as on complete graphs; it is left as it is because it
-    decides which graphs are refused. A step is priced at ``_slot`` of
-    the component so far: for "A" that of the A pass, which bounds both
-    passes of ``delta_frontier``; for "W" and "count" that of the W pass
-    alone, whose states are only the independent subsets of the frontier,
-    so 2^w bounds them. ``vc_count_reduction`` runs the W pass at slot 0,
-    one int of about h bits per state, so its price is an upper bound.
+    ``work`` is its work record, the plain tuple (reads, coeffs, table, i,
+    slot, terms), counted for one pass of ``_vertex_sums`` over the
+    steps so far. The i-th step reads ``table``, the 2^w states of a
+    w-vertex frontier, each an int of i coefficients of ``slot`` bits;
+    ``reads`` and ``coeffs`` sum 2^w and i * 2^w over the steps. The states
+    are read off the bits that the steps before it hold: for "A", the A
+    pass of ``delta_frontier``, they are the pass's own, and for "W" and
+    "count", whose pass keeps only the independent subsets of the
+    frontier, 2^w bounds them. ``slot`` is ``_slot`` of the component so
+    far, with only the edges seen so far: for "A" that of the A pass,
+    which bounds both passes of ``delta_frontier``, and for "W" and "count"
+    that of the W pass. ``vc_count_reduction`` runs the W pass at slot 0,
+    one int of about h bits per state, so its record is an upper bound.
     For "A" and "W" (the engines, which multiply the components'
-    polynomials), folding a component into the product over H earlier
-    vertices costs 0.25 us * (H + 1)(h_c + 1). That prices a fold over
-    the components; ``_product`` raises repeated factors to their powers
-    more cheaply, so the term is an upper bound when components repeat.
-    For "count", which multiplies one int per component, the term is left
-    out. The states a step reads are read off the bits that the steps
-    before it hold. Raises CapError once the running estimate, summed over
-    the components in order and with only the edges seen so far in the
-    slot, passes DP_SECONDS or a step passes DP_BYTES.
+    polynomials), ``terms`` is H + 1, H the vertices of the components
+    before, so that folding this one's i + 1 coefficients into their
+    product takes (H + 1)(i + 1) products; ``_product`` raises repeated
+    factors to their powers more cheaply, so that is an upper bound when
+    components repeat. For "count", which multiplies one int per
+    component, ``terms`` is 0. Each component is counted as if its pass
+    ran on its own, so where ``_plan`` finds components with equal steps,
+    which share one pass, the record is an upper bound. ``_cost`` prices
+    the record of each step and refuses it, so a refused graph stops
+    partway through its steps.
     """
-    # The pass's slot rule, and 1 if it prices the fold term, else 0.
-    edges, fold = {"A": (True, 1), "W": (False, 1), "count": (False, 0)}[pass_]
-    seconds, earlier = 0.0, 0  # earlier: the vertices of finished components
+    # The pass's slot rule, and H + 1 before the first component, or 0 where the pass folds none.
+    edges, terms = {"A": (True, 1), "W": (False, 1), "count": (False, 0)}[pass_]
+    seconds = 0.0
     component: list[Step] = []
-    used = m = reads = weighted = 0
+    used = m = reads = coeffs = 0
     for step in steps:
         component.append(step)
         i = len(component)
         inner, drop, vbit = step
-        size = 1 << used.bit_count()  # states the step reads
+        table = 1 << used.bit_count()  # states the step reads
         used = used & ~drop | vbit
         m += inner.bit_count()
-        slot = _slot(i, m, edges)
-        reads += size
-        weighted += i * size
-        estimate = seconds + 0.6e-6 * reads + 8e-9 * weighted * slot / 64
-        estimate += fold * 0.25e-6 * (earlier + 1) * (i + 1)  # the fold term
-        nbytes = size * (i * slot // 4 + 150)
-        if estimate > DP_SECONDS or nbytes > DP_BYTES:
-            raise CapError(
-                f"census DP estimated at {estimate:.1f} s and {nbytes >> 20} MiB or more,"
-                f" at most {DP_SECONDS} s and {DP_BYTES >> 20} MiB are supported"
-            )
+        reads += table
+        coeffs += i * table
+        slot = i + m + 1 if edges else i + 1  # _slot(i, m, edges), inlined on this hot path
+        estimate = _cost(seconds, reads, coeffs, table, i, slot, terms)
         if not used:
-            yield m, component
-            seconds, earlier, component = estimate, earlier + i, []
-            m = reads = weighted = 0
+            yield m, component, (reads, coeffs, table, i, slot, terms)
+            seconds, component, terms = estimate, [], terms and terms + i
+            m = reads = coeffs = 0
+
+
+def _cost(seconds: float, reads: int, coeffs: int, table: int, i: int, slot: int, terms: int) -> float:
+    """``seconds`` plus the seconds of a work record of ``_price``, whose fields are the other arguments.
+
+    ``seconds`` is the estimate of the components before the record's, so
+    the sum is the running estimate. Raises CapError when it is over
+    DP_SECONDS, or when the bytes of the record's state table are over
+    DP_BYTES.
+    """
+    # The rates, about the costs measured on one core of a 2-CPU x86 box
+    # with Python 3.11, where the DP engines took 0.85 to 2.3 times the
+    # estimate on prisms, grids, complete and complete bipartite graphs,
+    # Q5, random cubic graphs, a path and a star: 0.6 us a state read and
+    # 8 ns a 64-bit word of the coefficients it holds, 0.25 us a product of
+    # two coefficients in the fold, and per state of the table two ints of
+    # i * slot bits, i * slot / 4 bytes, plus 150 bytes. ``_vertex_sums``
+    # holds one int per state, so the byte rate reads about twice the
+    # measured peak where the state table dominates, as on complete graphs;
+    # it is left as it is because it decides which graphs are refused.
+    estimate = seconds + 0.6e-6 * reads + 8e-9 * coeffs * slot / 64
+    estimate += 0.25e-6 * terms * (i + 1)
+    nbytes = table * (i * slot // 4 + 150)
+    if estimate > DP_SECONDS or nbytes > DP_BYTES:
+        raise CapError(
+            f"census DP estimated at {estimate:.1f} s and {nbytes >> 20} MiB or more,"
+            f" at most {DP_SECONDS} s and {DP_BYTES >> 20} MiB are supported"
+        )
+    return estimate
 
 
 def _slot(h: int, m: int, edges: bool) -> int:
@@ -586,6 +608,7 @@ def _slot(h: int, m: int, edges: bool) -> int:
 
     h + m + 1 with ``edges``, as A_t < C(h, t) * 2^m, and h + 1 without,
     as B_t <= C(h, t), so no coefficient carries into the next.
+    ``_price`` inlines this rule, as it runs once a step.
     """
     return h + m + 1 if edges else h + 1
 

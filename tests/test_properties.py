@@ -2,12 +2,16 @@
 
 import random
 from collections import Counter
+from itertools import product
 from math import comb
+from operator import ge
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import binomial_expansion, census_cover_count, reference_census, reference_delta, reference_plan
 
+import oed.delta
 from oed import (
     CapError,
     DeltaPolynomial,
@@ -28,7 +32,7 @@ from oed import (
     vc_count_reduction,
     w_polynomial,
 )
-from oed.delta import _groups, _neighbours, _plan, _price, _product, _steps, _vertex_sums
+from oed.delta import _groups, _neighbours, _plan, _price, _product, _slot, _steps, _vertex_sums
 
 
 @st.composite
@@ -145,6 +149,42 @@ def sparse_ids(n, k, m, seed):
     return Graph.from_edges(n, sorted(pairs))
 
 
+def states_read(steps, slot, edges):
+    """``_vertex_sums``, counting the states that each step reads: (its int, the counts)."""
+    states, read = {0: 1}, []
+    for inner, drop, vbit in steps:
+        read.append(len(states))
+        nxt = {}
+        for mask, a in states.items():
+            c = mask & inner
+            out = mask & ~drop
+            nxt[out] = nxt.get(out, 0) + a
+            if c and not edges:
+                continue
+            key = out | vbit
+            nxt[key] = nxt.get(key, 0) + (a << slot + c.bit_count())
+        states = nxt
+    return states[0], read
+
+
+def dp_work(steps, m, edges):
+    """(reads, coeffs, table) of a component's pass of ``states_read``, as ``_price`` records them.
+
+    reads and coeffs sum the states that the i-th step reads and i times
+    them, table is those of the last step. The pass runs at the slot of
+    ``_groups`` and must return the int of ``_vertex_sums``.
+    """
+    slot = _slot(len(steps), m, edges)
+    total, read = states_read(steps, slot, edges)
+    assert total == _vertex_sums(tuple(steps), slot, edges)
+    return sum(read), sum(i * r for i, r in enumerate(read, 1)), read[-1]
+
+
+def independent_frontier(steps):
+    """Whether no step leaves a vertex on the frontier beside a frontier neighbour."""
+    return not any(vbit and inner & ~drop for inner, drop, vbit in steps)
+
+
 class TestGraphInvariants:
     @given(graphs())
     def test_edge_list_round_trip(self, g):
@@ -242,9 +282,142 @@ class TestPlanOrder:
     def test_plan_takes_the_greedy_order(self, g):
         expected = reference_plan(g.n, [(u, v) for u, v in g.edges])
         for pass_ in ("A", "W", "count"):
-            assert list(_price(_steps(_neighbours(g)), pass_)) == expected
+            priced = list(_price(_steps(_neighbours(g)), pass_))
+            assert [(m, steps) for m, steps, _ in priced] == expected
             plan = Counter((m, tuple(steps)) for m, steps in expected)
             assert list(_plan(g, pass_).items()) == list(plan.items())  # in first-seen order
+            if pass_ == "A":
+                assert [work[:3] for _, _, work in priced] == [dp_work(steps, m, True) for m, steps in expected]
+
+
+# For each graph: how many steps ``_price`` reads and the line it refuses
+# them with (None where it admits them all), per pass "A", "W", "count",
+# DP_SECONDS in 1e-4, 0.01, 1 and DP_BYTES in 4 KiB, 1 MiB, in that nesting.
+# An estimate that moves refuses at another step or with another line.
+REFUSALS = {
+    "prism200": [
+        (14, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 0 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 1 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 0 MiB are supported"),
+        (151, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 1 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 0 MiB or more, at most 1 s and 0 MiB are supported"),
+        (324, "census DP estimated at 0.1 s and 1 MiB or more, at most 1 s and 1 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 0 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 1 MiB are supported"),
+        (21, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 0 MiB are supported"),
+        (200, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 1 MiB are supported"),
+        (21, "census DP estimated at 0.0 s and 0 MiB or more, at most 1 s and 0 MiB are supported"),
+        (400, None),
+        (14, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 0 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 1 MiB are supported"),
+        (21, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 0 MiB are supported"),
+        (201, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 1 MiB are supported"),
+        (21, "census DP estimated at 0.0 s and 0 MiB or more, at most 1 s and 0 MiB are supported"),
+        (400, None),
+    ],
+    "K10,10": [
+        (6, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 0 MiB are supported"),
+        (8, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 1 MiB are supported"),
+        (6, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 0 MiB are supported"),
+        (13, "census DP estimated at 0.0 s and 1 MiB or more, at most 0.01 s and 1 MiB are supported"),
+        (6, "census DP estimated at 0.0 s and 0 MiB or more, at most 1 s and 0 MiB are supported"),
+        (13, "census DP estimated at 0.0 s and 1 MiB or more, at most 1 s and 1 MiB are supported"),
+        (6, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 0 MiB are supported"),
+        (8, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 1 MiB are supported"),
+        (6, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 0 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 1 MiB or more, at most 0.01 s and 1 MiB are supported"),
+        (6, "census DP estimated at 0.0 s and 0 MiB or more, at most 1 s and 0 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 1 MiB or more, at most 1 s and 1 MiB are supported"),
+        (6, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 0 MiB are supported"),
+        (8, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 1 MiB are supported"),
+        (6, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 0 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 1 MiB or more, at most 0.01 s and 1 MiB are supported"),
+        (6, "census DP estimated at 0.0 s and 0 MiB or more, at most 1 s and 0 MiB are supported"),
+        (14, "census DP estimated at 0.0 s and 1 MiB or more, at most 1 s and 1 MiB are supported"),
+    ],
+    "union200x8": [
+        (21, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 0 MiB are supported"),
+        (21, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 1 MiB are supported"),
+        (260, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 0 MiB are supported"),
+        (260, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 1 MiB are supported"),
+        (1600, None),
+        (1600, None),
+        (21, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 0 MiB are supported"),
+        (21, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 1 MiB are supported"),
+        (260, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 0 MiB are supported"),
+        (260, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.01 s and 1 MiB are supported"),
+        (1600, None),
+        (1600, None),
+        (37, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 0 MiB are supported"),
+        (37, "census DP estimated at 0.0 s and 0 MiB or more, at most 0.0001 s and 1 MiB are supported"),
+        (1600, None),
+        (1600, None),
+        (1600, None),
+        (1600, None),
+    ],
+}
+
+
+class TestPriceRefusals:
+    @pytest.mark.parametrize(
+        "name, g",
+        [
+            pytest.param("prism200", gen_family("prism", 200), id="prism200"),
+            pytest.param("K10,10", gen_family("complete_bipartite", 10), id="K10,10"),
+            pytest.param("union200x8", random_union(200, 8, 12, 1), id="union200x8"),
+        ],
+    )
+    def test_refusal_lines(self, monkeypatch, name, g):
+        walk = list(_steps(_neighbours(g)))
+        seen = []
+        for pass_, seconds, nbytes in product(("A", "W", "count"), (1e-4, 0.01, 1), (4 << 10, 1 << 20)):
+            monkeypatch.setattr(oed.delta, "DP_SECONDS", seconds)
+            monkeypatch.setattr(oed.delta, "DP_BYTES", nbytes)
+            steps = iter(walk)
+            try:
+                list(_price(steps, pass_))
+                line = None
+            except CapError as e:
+                line = str(e)
+            seen.append((len(walk) - sum(1 for _ in steps), line))
+        assert seen == REFUSALS[name]
+
+
+class TestPriceWork:
+    """``_price``'s work records against the states that the DP reads."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(gen_family("prism", s) for s in (8, 50, 200)),
+            gen_family("complete_bipartite", 10),
+            gen_family("complete", 16),
+            gen_family("complete", 19),
+            Graph.from_edges(63, [((v - 1) // 2, v) for v in range(1, 63)]),  # the binary tree of depth 5
+            Graph.from_edges(6000, [(2 * i, 2 * i + 1) for i in range(3000)]),
+            random_union(200, 8, 12, 1),
+        ],
+        ids=["prism8", "prism50", "prism200", "K10,10", "K16", "K19", "tree63", "matching3000", "union200x8"],
+    )
+    def test_records_count_the_states_that_each_pass_reads(self, g):
+        # The A pass reads every subset of the frontier, as the record has
+        # it. The W pass (of "W" and "count") reads only the independent
+        # ones, so the record bounds it, and meets it where the frontier
+        # never holds an edge. A repeated step list is counted once.
+        counted = {}
+        before = 0  # the vertices of the components before
+        walks = (_price(_steps(_neighbours(g)), pass_) for pass_ in ("A", "W", "count"))
+        for (m, steps, a), (_, _, w), (_, _, c) in zip(*walks, strict=True):
+            key = tuple(steps)
+            if key not in counted:
+                counted[key] = dp_work(steps, m, True), dp_work(steps, m, False)
+            dp_a, dp_w = counted[key]
+            h = len(steps)
+            assert a == (*dp_a, h, _slot(h, m, True), before + 1)
+            assert w[3:] == (h, _slot(h, m, False), before + 1) and c == (*w[:5], 0)
+            assert all(map(ge, w[:3], dp_w))
+            assert (w[:3] == dp_w) == independent_frontier(steps)
+            before += h
 
 
 class TestVertexSums:
